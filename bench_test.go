@@ -230,13 +230,24 @@ func benchParallelCircuit(b *testing.B) *Circuit {
 	return workloads.MatMult(3, 16).Build()
 }
 
-// BenchmarkGarble compares the sequential garbler against the parallel
-// level-scheduled engine at several pool widths on the same circuit.
-// On a multi-core host the x8 variant is expected to run >= 2x faster
-// than sequential; on a single-core host they converge (the engine adds
-// only a few percent of scheduling overhead).
+// benchPlan compiles c once, outside any timed region.
+func benchPlan(b *testing.B, c *Circuit) *circuit.Plan {
+	b.Helper()
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkGarble compares the dense sequential garbler against the
+// plan engine at several pool widths on the same circuit. On a
+// multi-core host the x8 variant is expected to run >= 2x faster than
+// sequential; on a single-core host they converge (the engine adds only
+// a few percent of scheduling overhead).
 func BenchmarkGarble(b *testing.B) {
 	c := benchParallelCircuit(b)
+	p := benchPlan(b, c)
 	h := gc.RekeyedHasher{}
 	and, _, _ := c.CountOps()
 
@@ -252,7 +263,7 @@ func BenchmarkGarble(b *testing.B) {
 		workers := workers
 		b.Run(benchName("parallel", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gc.ParallelGarble(c, h, label.NewSource(7), workers); err != nil {
+				if _, err := gc.GarblePlan(p, h, label.NewSource(7), workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,9 +272,11 @@ func BenchmarkGarble(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEval is the evaluator-side counterpart.
+// BenchmarkParallelEval is the evaluator-side counterpart: the plan
+// evaluator at one and eight workers.
 func BenchmarkParallelEval(b *testing.B) {
 	c := benchParallelCircuit(b)
+	p := benchPlan(b, c)
 	h := gc.RekeyedHasher{}
 	w := workloads.MatMult(3, 16)
 	g, e := w.Inputs(5)
@@ -279,7 +292,7 @@ func BenchmarkParallelEval(b *testing.B) {
 		workers := workers
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gc.ParallelEval(c, h, in, garbled.Tables, workers); err != nil {
+				if _, err := gc.EvalPlan(p, h, in, garbled.Tables, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,9 +300,9 @@ func BenchmarkParallelEval(b *testing.B) {
 	}
 }
 
-// Benchmark2PCPipelined compares full two-party runs: sequential
-// streaming vs the pipelined parallel engine on both sides.
-func Benchmark2PCPipelined(b *testing.B) {
+// Benchmark2PCParallel compares full two-party runs with a sequential
+// and an 8-wide engine on both sides.
+func Benchmark2PCParallel(b *testing.B) {
 	c := benchParallelCircuit(b)
 	w := workloads.MatMult(3, 16)
 	g, e := w.Inputs(5)
@@ -298,7 +311,7 @@ func Benchmark2PCPipelined(b *testing.B) {
 		opts RunOptions
 	}{
 		{"sequential", RunOptions{}},
-		{"pipelined-x8", RunOptions{Workers: 8, Pipelined: true}},
+		{"parallel-x8", RunOptions{Workers: 8}},
 	}
 	for _, m := range modes {
 		m := m
@@ -440,9 +453,9 @@ func Benchmark2PCPlanned(b *testing.B) {
 		name string
 		opts RunOptions
 	}{
-		{"dense", RunOptions{}},
+		{"plan-per-call", RunOptions{}},
 		{"planned", RunOptions{Plan: p}},
-		{"planned-pipelined-x8", RunOptions{Plan: p, Workers: 8, Pipelined: true}},
+		{"planned-x8", RunOptions{Plan: p, Workers: 8}},
 	}
 	for _, m := range modes {
 		m := m
@@ -515,11 +528,13 @@ func BenchmarkOTExtension(b *testing.B) {
 }
 
 // Benchmark2PCTransport isolates the slab transport: full two-party runs
-// under the allocation-free fixed-key hasher and free OT, so allocs/op
-// tracks the table/label stream rather than hashing or key exchange.
+// over one shared plan under the allocation-free fixed-key hasher and
+// free OT, so allocs/op tracks the table/label stream rather than plan
+// compilation, hashing or key exchange.
 func Benchmark2PCTransport(b *testing.B) {
 	w := workloads.DotProduct(8, 16)
 	c := w.Build()
+	p := benchPlan(b, c)
 	and, _, _ := c.CountOps()
 	g, e := w.Inputs(5)
 	h := gc.NewFixedKeyHasher([16]byte{42})
@@ -527,8 +542,8 @@ func Benchmark2PCTransport(b *testing.B) {
 		name string
 		opts proto.Options
 	}{
-		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h}},
-		{"pipelined-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h, Pipelined: true, Workers: 4}},
+		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h, Plan: p}},
+		{"parallel-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h, Workers: 4, Plan: p}},
 	}
 	for _, m := range modes {
 		m := m

@@ -48,21 +48,20 @@ func main() {
 	}
 	fmt.Printf("is Alice richer? %v (computed without revealing either value)\n", secure[0])
 
-	// 3b. The same computation on the parallel pipelined engine: gates
-	// at the same dependence level are garbled by a worker pool and each
-	// level's tables stream to the evaluator the moment they are ready,
+	// 3b. The same computation on an 8-wide engine: gates at the same
+	// dependence level are garbled by a worker pool and each level's
+	// tables stream to the evaluator the moment they are ready,
 	// overlapping garbling, transfer and evaluation — in software what
 	// HAAC's gate engines and table queues do in hardware. The garbled
 	// bytes are identical, so this is purely a throughput knob.
-	fast, err := haac.Run2PCWith(c, aliceBits, bobBits,
-		haac.RunOptions{Workers: 8, Pipelined: true})
+	fast, err := haac.Run2PCWith(c, aliceBits, bobBits, haac.RunOptions{Workers: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if fast[0] != plain[0] {
-		log.Fatal("pipelined result disagrees with plaintext evaluation")
+		log.Fatal("parallel result disagrees with plaintext evaluation")
 	}
-	fmt.Println("pipelined parallel 2PC agrees (8 workers, level-streamed tables)")
+	fmt.Println("parallel 2PC agrees (8 workers, level-streamed tables)")
 
 	// 4. Compile for the HAAC accelerator and estimate performance.
 	cp, err := haac.Compile(c, haac.DefaultCompilerConfig())

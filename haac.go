@@ -26,13 +26,12 @@
 //	c := b.MustBuild()
 //	out, err := haac.Run2PC(c, garblerBits, evalBits)
 //
-//	// The same computation with the parallel level-scheduled engine
-//	// and the pipelined table stream: gates at the same dependence
-//	// level are garbled by a worker pool and each level's tables go on
-//	// the wire as soon as they are ready, overlapping garbling,
-//	// transfer and evaluation like the paper's table-queue design.
+//	// The same computation with an 8-wide engine: gates at the same
+//	// dependence level are garbled by a worker pool, and each level's
+//	// tables go on the wire as soon as they are ready, overlapping
+//	// garbling, transfer and evaluation like the paper's table queues.
 //	out, err = haac.Run2PCWith(c, garblerBits, evalBits,
-//		haac.RunOptions{Workers: 8, Pipelined: true})
+//		haac.RunOptions{Workers: 8})
 //
 //	// Compile the same circuit for the accelerator and estimate its
 //	// performance on the paper's 16-GE design.
@@ -172,40 +171,29 @@ func defaultSeed(seed uint64) (uint64, error) {
 	return l.Lo | 1, nil
 }
 
-// GarbleAndEvaluateWith is GarbleAndEvaluate on the parallel
-// level-scheduled engine: garbling and evaluation each run across
-// opts.Workers workers. Workers follows the RunOptions contract —
-// 0 or 1 runs the engine single-threaded. The garbled output is
-// byte-identical to the sequential path for the same seed.
+// GarbleAndEvaluateWith is GarbleAndEvaluate on the plan engine:
+// garbling and evaluation each run across opts.Workers workers over
+// opts.Plan, or over a plan compiled for this call when it is nil.
+// Workers follows the RunOptions contract — 0 or 1 runs the engine
+// single-threaded. The garbled output is byte-identical to
+// GarbleAndEvaluate's for the same seed.
 func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, opts RunOptions) ([]bool, error) {
 	seed, err := defaultSeed(seed)
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	h := gc.RekeyedHasher{}
+	var p *circuit.Plan
 	if opts.Plan != nil {
 		if opts.Plan.Circuit() != c {
 			return nil, fmt.Errorf("haac: RunOptions.Plan was compiled from a different circuit")
 		}
-		g, err := gc.ParallelGarblePlan(opts.Plan.plan, h, label.NewSource(seed), workers)
-		if err != nil {
-			return nil, err
-		}
-		in, err := g.EncodeInputs(c, garbler, evaluator)
-		if err != nil {
-			return nil, err
-		}
-		out, err := gc.ParallelEvalPlan(opts.Plan.plan, h, in, g.Tables, workers)
-		if err != nil {
-			return nil, err
-		}
-		return g.Decode(out)
+		p = opts.Plan.plan
+	} else if p, err = circuit.NewPlan(c); err != nil {
+		return nil, err
 	}
-	g, err := gc.ParallelGarble(c, h, label.NewSource(seed), workers)
+	workers := max(opts.Workers, 1)
+	h := gc.RekeyedHasher{}
+	g, err := gc.GarblePlan(p, h, label.NewSource(seed), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +201,7 @@ func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, o
 	if err != nil {
 		return nil, err
 	}
-	out, err := gc.ParallelEval(c, h, in, g.Tables, workers)
+	out, err := gc.EvalPlan(p, h, in, g.Tables, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -256,23 +244,20 @@ func (p *Precompiled) PeakLive() int { return p.plan.PeakLive }
 // RunOptions configures the execution engine of the two-party protocol
 // and the local garbling helpers.
 type RunOptions struct {
-	// Workers is the width of the parallel level-scheduled garbling and
-	// evaluation engine. 0 or 1 keeps the classic sequential path
-	// (unless Pipelined is set, where 0 means one worker per CPU);
-	// values > 1 use gc.ParallelGarble / gc.ParallelEval.
+	// Workers is the width of the garbling and evaluation engine. 0 or 1
+	// runs it sequentially; values > 1 partition each wide dependence
+	// level across that many workers. Either way the garbler streams
+	// each level's tables as soon as they are ready while the evaluator
+	// consumes them — the software analogue of HAAC streaming tables
+	// through its table queues. The wire format does not depend on it,
+	// so each party picks its own width.
 	Workers int
-	// Pipelined overlaps garbling, table transfer and evaluation: the
-	// garbler streams each dependence level's tables as the worker pool
-	// completes them while the evaluator consumes tables concurrently —
-	// the software analogue of HAAC streaming tables through its table
-	// queues. The wire format is unchanged, so a pipelined party
-	// interoperates with a sequential one.
-	Pipelined bool
 	// Plan, when non-nil, must come from Precompile on the same circuit
-	// the run executes; the engines selected by Workers/Pipelined then
-	// run over the plan's slot arena and cached schedule. The wire
-	// format is unchanged, so a planned party interoperates with an
-	// unplanned peer.
+	// the run executes; the engine then runs over the plan's slot arena
+	// and cached schedule. Without it every direct-connection run
+	// compiles a plan first (sessions share one per circuit), so callers
+	// running a circuit repeatedly should precompile it. The wire format
+	// is unchanged either way.
 	Plan *Precompiled
 	// Retry is the self-healing policy of sessions opened with Dial or
 	// DialWith: with MaxAttempts > 1 the initial dial retries with capped
@@ -322,7 +307,7 @@ type RunOptions struct {
 }
 
 func (o RunOptions) proto() proto.Options {
-	popts := proto.Options{OT: ot.DH, Workers: o.Workers, Pipelined: o.Pipelined, Integrity: o.Integrity}
+	popts := proto.Options{OT: ot.DH, Workers: o.Workers, Integrity: o.Integrity}
 	if o.Plan != nil {
 		popts.Plan = o.Plan.plan
 	}
@@ -339,8 +324,7 @@ func Run2PC(c *Circuit, garbler, evaluator []bool) ([]bool, error) {
 }
 
 // Run2PCWith is Run2PC with explicit engine options — e.g.
-// RunOptions{Workers: 8, Pipelined: true} for the parallel pipelined
-// path.
+// RunOptions{Workers: 8} for an 8-wide engine on both sides.
 func Run2PCWith(c *Circuit, garbler, evaluator []bool, opts RunOptions) ([]bool, error) {
 	ga, ev := net.Pipe()
 	defer ga.Close()
@@ -499,7 +483,6 @@ func DialWith(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, er
 	sopts := server.Options{
 		OT:          ot.DH,
 		Workers:     opts.Workers,
-		Pipelined:   opts.Pipelined,
 		Retry:       opts.Retry,
 		TLS:         opts.TLS,
 		Integrity:   opts.Integrity,

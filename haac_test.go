@@ -53,8 +53,8 @@ func TestFacadeBuildEvalGarble2PC(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelPipelined drives the parallel engine and the
-// pipelined 2PC path through the public API.
+// TestFacadeParallelPipelined drives a 4-wide engine through the public
+// API, locally and over the level-streamed 2PC wire.
 func TestFacadeParallelPipelined(t *testing.T) {
 	b := NewBuilder()
 	x := b.GarblerInputs(16)
@@ -73,7 +73,7 @@ func TestFacadeParallelPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := Run2PCWith(c, g, e, RunOptions{Workers: 4, Pipelined: true})
+	pipe, err := Run2PCWith(c, g, e, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFacadeParallelPipelined(t *testing.T) {
 			t.Fatalf("parallel bit %d != plaintext", i)
 		}
 		if pipe[i] != plain[i] {
-			t.Fatalf("pipelined 2PC bit %d != plaintext", i)
+			t.Fatalf("parallel 2PC bit %d != plaintext", i)
 		}
 	}
 	// 321 * 123 = 39483.
@@ -136,8 +136,8 @@ func TestFacadePrecompile(t *testing.T) {
 		out, err := Run2PCWith(c, g, e, RunOptions{Plan: p})
 		check("planned 2PC", out, err)
 	}
-	out, err := Run2PCWith(c, g, e, RunOptions{Plan: p, Workers: 4, Pipelined: true})
-	check("planned pipelined 2PC", out, err)
+	out, err := Run2PCWith(c, g, e, RunOptions{Plan: p, Workers: 4})
+	check("planned parallel 2PC", out, err)
 	out, err = GarbleAndEvaluateWith(c, g, e, 99, RunOptions{Plan: p, Workers: 2})
 	check("planned local garble", out, err)
 

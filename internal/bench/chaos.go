@@ -184,6 +184,12 @@ func (e *Env) chaosLevel(w workloads.Workload, c *circuit.Circuit, garblerBits [
 	}
 	row.RunsPerSec = float64(row.Runs) / elapsed.Seconds()
 	row.Drops = dialer.Stats().Drops.Load()
-	row.SrvFailed = srv.Stats().RunsFailed
+	// Every client has closed; once the server has retired every
+	// session, each broken run it saw is in RunsFailed.
+	st, err := waitStats(srv, func(st server.Stats) bool { return st.ActiveSessions == 0 })
+	if err != nil {
+		return row, err
+	}
+	row.SrvFailed = st.RunsFailed
 	return row, nil
 }

@@ -10,9 +10,11 @@ import (
 )
 
 // Memory experiment: the software mirror of the paper's renaming /
-// out-of-range-wire story (§3.1.4). The dense engines hold one label per
-// circuit wire per run; a precompiled plan renames the write-once wire
-// space onto ≈ peak-live slots and reuses one arena across runs. The
+// out-of-range-wire story (§3.1.4). The dense reference engine
+// (gc.Garble/Evaluate, kept as the oracle; no 2PC run uses it) holds one
+// label per circuit wire per run; a precompiled plan renames the
+// write-once wire space onto ≈ peak-live slots and reuses one arena
+// across runs. The
 // experiment reports, per VIP workload, how far the working set shrinks
 // (peak-live width vs total wires, resident label bytes) and what it
 // does to steady-state heap allocations per run.
@@ -58,7 +60,7 @@ func allocsPerRun(reps int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(reps)
 }
 
-// Memory measures the suite under the sequential dense engines vs a
+// Memory measures the suite under the dense reference engine vs a
 // reused plan runner pair.
 func (e *Env) Memory() ([]MemoryRow, string, error) {
 	h := gc.RekeyedHasher{}

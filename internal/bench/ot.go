@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"haac/internal/circuit"
 	"haac/internal/gc"
 	"haac/internal/label"
 	"haac/internal/ot"
@@ -283,8 +284,10 @@ type TransportRow struct {
 }
 
 // Transport measures the slab-encoded table/label stream: a full
-// in-process 2PC run per engine, recording bytes each way, end-to-end
-// throughput and allocations per garbled table.
+// in-process 2PC run per configuration, recording bytes each way,
+// end-to-end throughput and allocations per garbled table. Every row
+// shares one precompiled plan, so plan compilation (priced by the
+// parallel experiment's one-shot 2PC columns) stays out of the numbers.
 func (e *Env) Transport() ([]TransportRow, string, error) {
 	w := workloads.DotProduct(8, 16)
 	if e.Scale == Paper {
@@ -292,6 +295,10 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 	}
 	c := e.Circuit(w)
 	and, _, _ := c.CountOps()
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		return nil, "", err
+	}
 
 	// Both hashers are allocation-free in steady state, so every row
 	// measures the transport itself; the rekeyed row shows the paper's
@@ -302,10 +309,10 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 		name string
 		opts proto.Options
 	}{
-		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk}},
-		{"pipelined-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk, Pipelined: true, Workers: 4}},
-		{"iknp-seq", proto.Options{OT: ot.IKNP, Seed: 7, Hasher: fk}},
-		{"rekeyed-seq", proto.Options{OT: ot.Insecure, Seed: 7}},
+		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk, Plan: p}},
+		{"parallel-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk, Workers: 4, Plan: p}},
+		{"iknp-seq", proto.Options{OT: ot.IKNP, Seed: 7, Hasher: fk, Plan: p}},
+		{"rekeyed-seq", proto.Options{OT: ot.Insecure, Seed: 7, Plan: p}},
 	}
 
 	var rows []TransportRow

@@ -14,9 +14,10 @@ import (
 	"haac/internal/workloads"
 )
 
-// Parallel-garbling experiment: sequential vs level-scheduled parallel
-// garbling throughput, and sequential vs pipelined 2PC wall time. This
-// is the software counterpart of the paper's gate-engine scaling study
+// Parallel-garbling experiment: dense sequential garbling against the
+// plan engine at several worker counts, and one-shot 2PC wall time with
+// the plan engine sequential vs eight workers wide. This is the
+// software counterpart of the paper's gate-engine scaling study
 // (Fig. 8): levels expose the ILP, the worker pool plays the GEs.
 
 // ParallelRow reports one workload's garbling throughput at several
@@ -24,14 +25,16 @@ import (
 type ParallelRow struct {
 	Name     string
 	ANDGates int
-	// SeqNs is the sequential gc.Garble wall time.
+	// SeqNs is the dense sequential gc.Garble wall time.
 	SeqNs int64
-	// WorkerNs maps worker count to gc.ParallelGarble wall time.
+	// WorkerNs maps worker count to gc.GarblePlan wall time over a
+	// plan compiled beforehand.
 	WorkerNs map[int]int64
-	// Pipe2PCNs and Seq2PCNs are in-process 2PC wall times with the
-	// pipelined parallel engine vs the sequential stream.
-	Seq2PCNs  int64
-	Pipe2PCNs int64
+	// Seq2PCNs and Par2PCNs are in-process one-shot 2PC wall times
+	// (plan compile included) with the plan engine sequential vs eight
+	// workers wide on both sides.
+	Seq2PCNs int64
+	Par2PCNs int64
 }
 
 // Speedup returns the parallel speedup at the given worker count.
@@ -46,8 +49,8 @@ func (r ParallelRow) Speedup(workers int) float64 {
 // parallelWorkerCounts are the pool widths the experiment sweeps.
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
-// ParallelGarbling measures the parallel engine against the sequential
-// garbler on the widest workloads of the suite.
+// ParallelGarbling measures the plan engine's worker pool against the
+// dense sequential garbler on the widest workloads of the suite.
 func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 	names := map[string]bool{"DotProd": true, "MatMult": true, "Merse": true}
 	h := gc.RekeyedHasher{}
@@ -57,6 +60,10 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 			continue
 		}
 		c := e.Circuit(w)
+		p, err := circuit.NewPlan(c)
+		if err != nil {
+			return nil, "", err
+		}
 		and, _, _ := c.CountOps()
 		row := ParallelRow{Name: w.Name, ANDGates: and, WorkerNs: map[int]int64{}}
 
@@ -68,7 +75,7 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 
 		for _, workers := range parallelWorkerCounts {
 			start = time.Now()
-			if _, err := gc.ParallelGarble(c, h, label.NewSource(7), workers); err != nil {
+			if _, err := gc.GarblePlan(p, h, label.NewSource(7), workers); err != nil {
 				return nil, "", err
 			}
 			row.WorkerNs[workers] = time.Since(start).Nanoseconds()
@@ -78,11 +85,11 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		pipe2, err := time2PC(w, c, proto.Options{OT: ot.Insecure, Seed: 7, Pipelined: true, Workers: 8})
+		par2, err := time2PC(w, c, proto.Options{OT: ot.Insecure, Seed: 7, Workers: 8})
 		if err != nil {
 			return nil, "", err
 		}
-		row.Seq2PCNs, row.Pipe2PCNs = seq2.Nanoseconds(), pipe2.Nanoseconds()
+		row.Seq2PCNs, row.Par2PCNs = seq2.Nanoseconds(), par2.Nanoseconds()
 		rows = append(rows, row)
 	}
 
@@ -99,11 +106,14 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 		}
 		row = append(row,
 			ms(time.Duration(r.Seq2PCNs)),
-			ms(time.Duration(r.Pipe2PCNs)))
+			ms(time.Duration(r.Par2PCNs)))
 		cells = append(cells, row)
 	}
 	s := table(header, cells)
-	s += fmt.Sprintf("\n(parallel columns are speedups over sequential garbling; host has %d CPU(s) —\nspeedups track min(workers, CPUs) since the level engine is compute-bound)\n",
+	s += fmt.Sprintf("\n(xN columns are plan-engine speedups over dense sequential garbling; host has\n"+
+		"%d CPU(s) — speedups track min(workers, CPUs) since the engine is compute-bound;\n"+
+		"2PC columns are one-shot runs, plan compile included; \"pipe\" runs the plan engine\n"+
+		"8 workers wide on both sides, each level's tables streamed as it completes)\n",
 		runtime.NumCPU())
 	return rows, s, nil
 }

@@ -232,8 +232,10 @@ func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits
 	if pooled && !conns[0].Pooled() {
 		return row, fmt.Errorf("server did not grant the pooled tier")
 	}
-	bytesBefore := srv.Stats().BytesOut
-	hitsBefore := srv.Stats().PoolHits
+	warm, err := waitStats(srv, runsServed(len(conns)))
+	if err != nil {
+		return row, err
+	}
 	roundsBefore := ot.BaseOTRounds()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -258,16 +260,19 @@ func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits
 		return row, err
 	}
 
+	st, err := waitStats(srv, runsServed(len(conns)+row.Runs))
+	if err != nil {
+		return row, err
+	}
 	total := float64(row.Runs)
 	row.RunsPerSec = total / elapsed.Seconds()
 	row.AllocsPerRun = float64(after.Mallocs-before.Mallocs) / total
-	row.BytesOutPerRun = float64(srv.Stats().BytesOut-bytesBefore) / total
-	st := srv.Stats()
+	row.BytesOutPerRun = float64(st.BytesOut-warm.BytesOut) / total
 	row.CacheHits, row.CacheMisses = st.CacheHits, st.CacheMisses
 	row.Refused = st.SessionsRefused
 	row.PlanBuilds = circuit.PlanBuilds() - buildsBefore
 	if pooled {
-		row.PoolHits = st.PoolHits - hitsBefore
+		row.PoolHits = st.PoolHits - warm.PoolHits
 		row.BaseOTRounds = ot.BaseOTRounds() - roundsBefore
 		if row.BaseOTRounds != 0 {
 			return row, fmt.Errorf("pooled steady state spent %d base-OT rounds, want 0", row.BaseOTRounds)
@@ -277,4 +282,31 @@ func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits
 		}
 	}
 	return row, nil
+}
+
+// waitStats polls the server until ready accepts its stats, then
+// returns them. Server counters trail what clients observe: a client's
+// Run returns once its result is on the wire, before the server's run
+// loop records the run, and a session's failed runs are accounted only
+// as the server notices the broken connection. Every before/after
+// window over server stats snapshots through here.
+func waitStats(srv *server.Server, ready func(server.Stats) bool) (server.Stats, error) {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := srv.Stats()
+		if ready(st) {
+			return st, nil
+		}
+		if time.Now().After(deadline) {
+			return st, fmt.Errorf("server stats did not settle: %d runs served, %d sessions active",
+				st.RunsServed, st.ActiveSessions)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// runsServed is a waitStats condition: the server has accounted exactly
+// the runs the clients completed.
+func runsServed(completed int) func(server.Stats) bool {
+	return func(st server.Stats) bool { return st.RunsServed == uint64(completed) }
 }

@@ -119,27 +119,42 @@ func NewPlan(c *Circuit) (*Plan, error) {
 	// Bucket gates and wire deaths by level for the single renaming sweep.
 	// Gates keep gate order inside a level; deaths keep wire order — both
 	// choices only pin the (deterministic) slot assignment.
-	gatesAt := make([][]int32, maxLevel+1)
-	gateCount := make([]int32, maxLevel+1)
+	// Both bucketings carve their per-level lists out of one backing
+	// array sized by a counting pass, so a plan build allocates a fixed
+	// number of times however deep the circuit is.
+	gateCount := make([]int, maxLevel+1)
 	for i := range c.Gates {
 		gateCount[levels[i]]++
 	}
-	for k := 1; k <= maxLevel; k++ {
-		gatesAt[k] = make([]int32, 0, gateCount[k])
-	}
+	gatesAt := bucketLists[int32](gateCount, len(c.Gates))
 	for i := range c.Gates {
 		gatesAt[levels[i]] = append(gatesAt[levels[i]], int32(i))
 	}
-	diesAt := make([][]Wire, maxLevel+1)
-	for w := 0; w < c.NumWires; w++ {
+	// dyingLevel reports the level at which wire w's slot dies, or -1
+	// for a wire that never frees one. Gap wires — Validate permits
+	// wires nothing writes or reads — own no slot, so they must not
+	// enter the death buckets: freeing their zero-valued slot[w] would
+	// recycle input slot 0 while it is still live.
+	dyingLevel := func(w int) int {
 		if w >= nin && writeLevel[w] == 0 {
-			// Gap wire: Validate permits wires nothing writes or reads.
-			// They own no slot, so they must not enter the death
-			// buckets — freeing their zero-valued slot[w] would recycle
-			// input slot 0 while it is still live.
-			continue
+			return -1
 		}
-		if l := lastUse[w]; l != neverDies && int(l) < len(diesAt) {
+		if l := lastUse[w]; l != neverDies && int(l) <= maxLevel {
+			return int(l)
+		}
+		return -1
+	}
+	deathCount := make([]int, maxLevel+1)
+	deaths := 0
+	for w := 0; w < c.NumWires; w++ {
+		if l := dyingLevel(w); l >= 0 {
+			deathCount[l]++
+			deaths++
+		}
+	}
+	diesAt := bucketLists[Wire](deathCount, deaths)
+	for w := 0; w < c.NumWires; w++ {
+		if l := dyingLevel(w); l >= 0 {
 			diesAt[l] = append(diesAt[l], Wire(w))
 		}
 	}
@@ -199,4 +214,17 @@ func NewPlan(c *Circuit) (*Plan, error) {
 		p.OutputSlots[i] = slot[o]
 	}
 	return p, nil
+}
+
+// bucketLists returns one empty list per count, each with capacity
+// counts[k], carved from a single backing array of total elements.
+func bucketLists[T any](counts []int, total int) [][]T {
+	back := make([]T, total)
+	lists := make([][]T, len(counts))
+	off := 0
+	for k, n := range counts {
+		lists[k] = back[off : off : off+n]
+		off += n
+	}
+	return lists
 }

@@ -52,31 +52,32 @@ func (c *Circuit) levelScheduleFrom(levels []int) *Schedule {
 			maxLevel = l
 		}
 	}
-	s := &Schedule{
-		Free:       make([][]int32, maxLevel),
-		AND:        make([][]int32, maxLevel),
-		ANDIndex:   make([]int32, len(c.Gates)),
-		EmitReady:  make([]int, maxLevel),
-		NeedTables: make([]int, maxLevel),
-	}
-	// Pre-size the per-level lists so appends don't reallocate.
-	freeCount := make([]int32, maxLevel)
-	andCount := make([]int32, maxLevel)
+	// Carve the per-level lists out of one backing array per kind, sized
+	// by a counting pass: appends never reallocate, and building a
+	// schedule allocates a fixed number of times however deep the
+	// circuit is.
+	freeCount := make([]int, maxLevel)
+	andCount := make([]int, maxLevel)
+	nAND := 0
 	for i := range c.Gates {
 		if c.Gates[i].Op == AND {
 			andCount[levels[i]-1]++
+			nAND++
 		} else {
 			freeCount[levels[i]-1]++
 		}
 	}
-	for k := 0; k < maxLevel; k++ {
-		s.Free[k] = make([]int32, 0, freeCount[k])
-		s.AND[k] = make([]int32, 0, andCount[k])
+	s := &Schedule{
+		Free:       bucketLists[int32](freeCount, len(c.Gates)-nAND),
+		AND:        bucketLists[int32](andCount, nAND),
+		ANDIndex:   make([]int32, len(c.Gates)),
+		EmitReady:  make([]int, maxLevel),
+		NeedTables: make([]int, maxLevel),
 	}
 
 	// tableLevel[t] is the level of the AND gate whose table occupies
 	// stream position t.
-	var tableLevel []int32
+	tableLevel := make([]int32, 0, nAND)
 	for i := range c.Gates {
 		k := levels[i] - 1
 		if c.Gates[i].Op == AND {

@@ -2,23 +2,87 @@ package gc
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"haac/internal/circuit"
 	"haac/internal/label"
 )
 
-// Plan-based execution: the engines in this file run a precompiled
+// Plan-based execution: the runners in this file are the garbling
+// engine behind every two-party run. They execute a precompiled
 // circuit.Plan instead of a raw circuit. The plan's renaming maps the
 // write-once wire space onto a slot space of width == peak-live wires,
 // so a run touches a label arena of NumSlots entries instead of
 // NumWires — the paper's rename-and-evict memory idea (§3.1.4) applied
-// to the software hot path — and the cached schedule removes the
-// per-run LevelSchedule rebuild. Runners own their arenas and reuse
+// to the software hot path — and the cached level schedule is built
+// once per circuit, not per run. Runners own their arenas and reuse
 // them across runs: steady-state plan execution allocates nothing.
 //
-// Outputs are byte-identical to the dense engines: renaming only moves
-// where labels are stored, never what is hashed, and tables keep their
-// gate-order stream positions and tweaks.
+// Gates at the same dependence level are independent (every producer
+// sits at a strictly lower level), so with workers > 1 each wide AND
+// level is partitioned across a worker pool — the software analogue of
+// HAAC's parallel gate engines. Outputs are byte-identical to the dense
+// reference Garble/Evaluate for every worker count: renaming only
+// moves where labels are stored, never what is hashed, tweaks and
+// table positions are the gate-order stream indices regardless of
+// which worker garbles a gate, and the label source is consumed only
+// for the input wires.
+
+// minParallelLevel is the smallest number of AND gates in a level worth
+// dispatching to the pool; below it the per-level synchronization costs
+// more than the hashing.
+const minParallelLevel = 16
+
+// levelPool is a fixed set of workers processing contiguous spans of a
+// level's AND-gate list. The per-gate work function is fixed at
+// construction; run dispatches one level and blocks until it completes.
+type levelPool struct {
+	workers int
+	tasks   chan []int32
+	wg      sync.WaitGroup
+}
+
+func newLevelPool(workers int, do func(gates []int32)) *levelPool {
+	p := &levelPool{workers: workers, tasks: make(chan []int32, workers)}
+	for i := 0; i < workers; i++ {
+		go func() {
+			for gates := range p.tasks {
+				do(gates)
+				p.wg.Done()
+			}
+		}()
+	}
+	return p
+}
+
+// run partitions gates into at most p.workers contiguous chunks and
+// waits for all of them. Chunks preserve gate order within each span, so
+// workers touch disjoint table and slot entries.
+func (p *levelPool) run(gates []int32) {
+	n := len(gates)
+	chunk := (n + p.workers - 1) / p.workers
+	p.wg.Add((n + chunk - 1) / chunk)
+	for off := 0; off < n; off += chunk {
+		end := off + chunk
+		if end > n {
+			end = n
+		}
+		p.tasks <- gates[off:end]
+	}
+	p.wg.Wait()
+}
+
+func (p *levelPool) close() { close(p.tasks) }
+
+// clampWorkers resolves the worker-count option: 0 (or negative) means
+// one worker per available CPU.
+func clampWorkers(w int) int {
+	if w <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w
+}
 
 // PlanGarbler garbles a precompiled plan repeatedly with zero
 // steady-state allocations. A PlanGarbler is not safe for concurrent
@@ -101,8 +165,11 @@ func (pg *PlanGarbler) R() label.L { return pg.r }
 func (pg *PlanGarbler) InputZeros() []label.L { return pg.inputZeros }
 
 // Run garbles the whole plan level by level, invoking emit (if non-nil)
-// with successive gate-order table chunks as levels complete, exactly
-// like LevelGarbler.Run. Begin must be called before each Run.
+// after each level with the next contiguous chunk of the gate-order
+// table stream that became fully garbled — the chunked writer the
+// protocol puts on the wire. Chunks never overlap and concatenate to
+// exactly Garbled.Tables; an emit error aborts the run. Begin must be
+// called before each Run.
 func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error) {
 	if !pg.began {
 		return nil, fmt.Errorf("gc: PlanGarbler.Run without Begin")
@@ -144,18 +211,10 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	return &pg.g, nil
 }
 
-// GarblePlan garbles a plan sequentially in one shot — the plan-based
-// counterpart of Garble. For steady-state reuse hold a PlanGarbler
-// instead.
-func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source) (*Garbled, error) {
-	pg := NewPlanGarbler(p, h, 1)
-	pg.Begin(src)
-	return pg.Run(nil)
-}
-
-// ParallelGarblePlan garbles a plan with a worker pool in one shot — the
-// plan-based counterpart of ParallelGarble.
-func ParallelGarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Garbled, error) {
+// GarblePlan garbles a plan in one shot with the given worker count
+// (the NewPlanGarbler convention). For steady-state reuse hold a
+// PlanGarbler instead.
+func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Garbled, error) {
 	pg := NewPlanGarbler(p, h, workers)
 	defer pg.Close()
 	pg.Begin(src)
@@ -219,10 +278,11 @@ func (pe *PlanEvaluator) Eval(inputs []label.L, tables []Material) ([]label.L, e
 	return pe.EvalStream(inputs, func(int) ([]Material, error) { return tables, nil })
 }
 
-// EvalStream evaluates with tables arriving asynchronously under the
-// ParallelEvalStream contract: before each AND level it calls need(n),
-// which must block until the first n tables of the gate-order stream are
-// final and return the stream so far.
+// EvalStream evaluates with tables arriving asynchronously: before each
+// AND level it calls need(n), which must block until at least the first
+// n tables of the gate-order stream are final and return the stream so
+// far (the returned slice may grow between calls). This lets the
+// protocol evaluate a level while later tables are still in flight.
 func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Material, error)) ([]label.L, error) {
 	c := pe.p.Circuit
 	if len(inputs) != c.NumInputs() {
@@ -265,15 +325,10 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 	return pe.outs, nil
 }
 
-// EvalPlan evaluates a plan sequentially in one shot — the plan-based
-// counterpart of Evaluate. For steady-state reuse hold a PlanEvaluator.
-func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material) ([]label.L, error) {
-	return NewPlanEvaluator(p, h, 1).Eval(inputs, tables)
-}
-
-// ParallelEvalPlan evaluates a plan with a worker pool in one shot — the
-// plan-based counterpart of ParallelEval.
-func ParallelEvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material, workers int) ([]label.L, error) {
+// EvalPlan evaluates a plan in one shot with the given worker count
+// (the NewPlanEvaluator convention). For steady-state reuse hold a
+// PlanEvaluator.
+func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material, workers int) ([]label.L, error) {
 	pe := NewPlanEvaluator(p, h, workers)
 	defer pe.Close()
 	return pe.Eval(inputs, tables)

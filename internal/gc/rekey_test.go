@@ -2,6 +2,7 @@ package gc
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"haac/internal/label"
@@ -116,8 +117,9 @@ func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRekeyedGarbleEvalSteadyStateAllocs is the re-keyed twin of
-// proto's fixed-key stream test: with pooled schedules the whole
-// garble and eval tight loops allocate O(1) per circuit.
+// proto's fixed-key engine test: with pooled schedules, building a plan
+// runner and running it over a whole circuit allocates O(1) per circuit
+// (the runner's arenas), never per gate.
 func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -129,6 +131,7 @@ func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("workload too small to detect per-gate allocations (%d ANDs)", and)
 	}
 	h := RekeyedHasher{}
+	p := mustPlan(t, c)
 
 	garbled, err := Garble(c, h, label.NewSource(7))
 	if err != nil {
@@ -141,14 +144,10 @@ func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	garbleAllocs := testing.AllocsPerRun(10, func() {
-		sg, err := NewStreamGarbler(c, h, label.NewSource(7))
-		if err != nil {
+		pg := NewPlanGarbler(p, h, 1)
+		pg.Begin(label.NewSource(7))
+		if _, err := pg.Run(nil); err != nil {
 			t.Fatal(err)
-		}
-		for {
-			if _, ok := sg.Next(); !ok {
-				break
-			}
 		}
 	})
 	if garbleAllocs > 50 {
@@ -156,18 +155,7 @@ func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	evalAllocs := testing.AllocsPerRun(10, func() {
-		se, err := NewStreamEvaluator(c, h, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for se.NeedTable() {
-			if err := se.Feed(garbled.Tables[i]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if _, err := se.Outputs(); err != nil {
+		if _, err := NewPlanEvaluator(p, h, 1).Eval(inputs, garbled.Tables); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -239,4 +227,25 @@ func BenchmarkRekeyedEval(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(and)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MAND/s")
+}
+
+// TestFixedKeyHasherConcurrent hammers one shared hasher from many
+// goroutines; run under -race this proves the shared-cipher claim.
+func TestFixedKeyHasherConcurrent(t *testing.T) {
+	h := NewFixedKeyHasher([16]byte{42})
+	l := label.L{Lo: 123, Hi: 456}
+	want := h.Hash(l, 77)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				if h.Hash(l, 77) != want {
+					panic("fixed-key hash not stable under concurrency")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,9 +5,12 @@
 // fresh AES keys from its gate index, paying two key expansions per gate
 // exactly as HAAC's Half-Gate pipeline does.
 //
-// The package provides in-memory garbling/evaluation (the functional
-// golden model for the compiler and simulator) and streaming variants
-// used by the two-party protocol in internal/proto.
+// The package provides two engines over one scheme. Dense in-memory
+// Garble/Evaluate is the reference: the compiler, simulator and
+// byte-identity tests check against it. The plan runners
+// (PlanGarbler/PlanEvaluator) execute a precompiled circuit.Plan,
+// sequentially or across a worker pool, streaming tables level by
+// level; they run every two-party execution in internal/proto.
 package gc
 
 import (

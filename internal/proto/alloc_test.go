@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"haac/internal/circuit"
 	"haac/internal/gc"
 	"haac/internal/label"
 	"haac/internal/ot"
@@ -76,9 +77,10 @@ func TestSendActiveInputsNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGarbleEvalSteadyStateAllocs: with the batched fixed-key hasher the
-// whole garble and eval tight loops allocate O(1) per circuit — a
-// per-gate allocation on a ~1k-AND circuit would add thousands.
+// TestGarbleEvalSteadyStateAllocs: with the batched fixed-key hasher,
+// building the plan runners and running them over the whole circuit
+// allocates O(1) per circuit — a per-gate allocation on a ~1k-AND
+// circuit would add thousands.
 func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	w := workloads.DotProduct(4, 16)
@@ -88,6 +90,10 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("workload too small to detect per-gate allocations (%d ANDs)", and)
 	}
 	h := gc.NewFixedKeyHasher([16]byte{3})
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	garbled, err := gc.Garble(c, h, label.NewSource(7))
 	if err != nil {
@@ -99,16 +105,11 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Garble loop: construction allocates (wire arrays), Next must not.
 	garbleAllocs := testing.AllocsPerRun(10, func() {
-		sg, err := gc.NewStreamGarbler(c, h, label.NewSource(7))
-		if err != nil {
+		pg := gc.NewPlanGarbler(p, h, 1)
+		pg.Begin(label.NewSource(7))
+		if _, err := pg.Run(nil); err != nil {
 			t.Fatal(err)
-		}
-		for {
-			if _, ok := sg.Next(); !ok {
-				break
-			}
 		}
 	})
 	if garbleAllocs > 50 {
@@ -116,18 +117,7 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	evalAllocs := testing.AllocsPerRun(10, func() {
-		se, err := gc.NewStreamEvaluator(c, h, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for se.NeedTable() {
-			if err := se.Feed(garbled.Tables[i]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if _, err := se.Outputs(); err != nil {
+		if _, err := gc.NewPlanEvaluator(p, h, 1).Eval(inputs, garbled.Tables); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -184,36 +174,36 @@ func TestRekeyed2PCSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEvalSequentialTableReadAllocs: the evaluator's batched table
-// reader allocates O(1) per stream, independent of table count.
+// reader ingests a whole stream, slab by slab, without allocating.
 func TestEvalSequentialTableReadAllocs(t *testing.T) {
 	skipUnderRace(t)
-	w := workloads.DotProduct(4, 16)
-	c := w.Build()
-	h := gc.NewFixedKeyHasher([16]byte{3})
-	garbled, err := gc.Garble(c, h, label.NewSource(7))
+	c := workloads.DotProduct(4, 16).Build()
+	garbled, err := gc.Garble(c, gc.NewFixedKeyHasher([16]byte{3}), label.NewSource(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, e := w.Inputs(5)
-	inputs, err := garbled.EncodeInputs(c, g, e)
-	if err != nil {
-		t.Fatal(err)
+	n := len(garbled.Tables)
+	if n <= slabTables {
+		t.Fatalf("stream of %d tables fits one slab; want several", n)
 	}
-	stream := make([]byte, gc.MaterialSize*len(garbled.Tables))
+	stream := make([]byte, gc.MaterialSize*n)
 	gc.EncodeMaterials(stream, garbled.Tables)
-	opts := Options{Hasher: h}
-
-	// Warm pools.
-	if _, err := evalSequential(bufio.NewReader(bytes.NewReader(stream)), c, inputs, opts); err != nil {
-		t.Fatal(err)
-	}
+	tables := make([]gc.Material, n)
+	slab := make([]byte, slabBytes)
+	rd := bytes.NewReader(stream)
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := evalSequential(bufio.NewReader(bytes.NewReader(stream)), c, inputs, opts); err != nil {
+		rd.Reset(stream)
+		got := 0
+		if err := readTableStream(rd, slab, tables, &got, n); err != nil {
 			t.Fatal(err)
 		}
 	})
-	and, _, _ := c.CountOps()
-	if avg > 60 {
-		t.Fatalf("sequential eval allocates %.0f times for %d tables (want O(1) per stream)", avg, and)
+	if avg != 0 {
+		t.Fatalf("table ingest allocates %.1f times for %d tables, want 0", avg, n)
+	}
+	for i := range tables {
+		if tables[i] != garbled.Tables[i] {
+			t.Fatalf("table %d decoded wrong", i)
+		}
 	}
 }

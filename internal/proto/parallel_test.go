@@ -4,16 +4,29 @@ import (
 	"net"
 	"testing"
 
+	"haac/internal/circuit"
 	"haac/internal/gc"
 	"haac/internal/ot"
 	"haac/internal/workloads"
 )
 
+// Parallel-engine protocol runs: the plan runners partition each wide
+// dependence level across a worker pool while the garbler streams every
+// finished level's tables and the evaluator blocks only for the tables
+// its next level needs — garbling, transfer and evaluation overlap in a
+// pipeline, as tables flow through HAAC's table queues.
+
 // run2PCMixed is run2PC with independent options per role, for the
 // interop matrix (the wire format must not depend on the engine).
 func run2PCMixed(t *testing.T, c *workloads.Workload, seed int64, gopts, eopts Options) {
 	t.Helper()
-	cir := c.Build()
+	run2PCMixedOn(t, c, c.Build(), seed, gopts, eopts)
+}
+
+// run2PCMixedOn is run2PCMixed over an already built circuit, which a
+// plan in either side's options must have been compiled from.
+func run2PCMixedOn(t *testing.T, c *workloads.Workload, cir *circuit.Circuit, seed int64, gopts, eopts Options) {
+	t.Helper()
 	g, e := c.Inputs(seed)
 	want := c.Reference(g, e)
 
@@ -44,8 +57,8 @@ func run2PCMixed(t *testing.T, c *workloads.Workload, seed int64, gopts, eopts O
 	}
 }
 
-// TestPipelined2PCWorkloads re-runs the main workload suite through the
-// fully pipelined path with a 4-wide worker pool on both sides.
+// TestPipelined2PCWorkloads re-runs the main workload suite with a
+// 4-wide worker pool on both sides.
 func TestPipelined2PCWorkloads(t *testing.T) {
 	for _, w := range workloads.VIPSuiteSmall() {
 		w := w
@@ -53,19 +66,26 @@ func TestPipelined2PCWorkloads(t *testing.T) {
 			if w.Name == "BubbSt" || w.Name == "GradDesc" || w.Name == "Triangle" {
 				t.Skip("large; pipelining covered by smaller workloads")
 			}
-			opts := Options{OT: ot.Insecure, Seed: 9, Pipelined: true, Workers: 4}
+			opts := Options{OT: ot.Insecure, Seed: 9, Workers: 4}
 			run2PCMixed(t, &w, 5, opts, opts)
 		})
 	}
 }
 
-// TestPipelinedInteropMatrix checks every engine pairing produces the
-// same result: the stream is engine-agnostic.
+// TestPipelinedInteropMatrix checks every pairing of engine
+// configurations produces the same result: the stream does not depend
+// on how either side runs. "seq" is sequential, "offline" four workers
+// wide, and "pipelined" two workers wide over a shared precompiled plan
+// (the other two compile their own per call).
 func TestPipelinedInteropMatrix(t *testing.T) {
 	w := workloads.DotProduct(4, 16)
+	plan, err := circuit.NewPlan(w.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq := Options{OT: ot.Insecure, Seed: 3}
 	off := Options{OT: ot.Insecure, Seed: 3, Workers: 4}
-	pip := Options{OT: ot.Insecure, Seed: 3, Pipelined: true, Workers: 2}
+	pip := Options{OT: ot.Insecure, Seed: 3, Workers: 2, Plan: plan}
 	modes := []struct {
 		name string
 		opts Options
@@ -74,32 +94,32 @@ func TestPipelinedInteropMatrix(t *testing.T) {
 		for _, e := range modes {
 			g, e := g, e
 			t.Run(g.name+"->"+e.name, func(t *testing.T) {
-				run2PCMixed(t, &w, 8, g.opts, e.opts)
+				run2PCMixedOn(t, &w, plan.Circuit, 8, g.opts, e.opts)
 			})
 		}
 	}
 }
 
-// TestPipelinedDHOT exercises the pipelined path under the full
-// cryptographic OT, where garbling genuinely overlaps the OT rounds.
+// TestPipelinedDHOT exercises the parallel engine under the full
+// cryptographic OT.
 func TestPipelinedDHOT(t *testing.T) {
 	w := workloads.Millionaire(16)
-	opts := Options{OT: ot.DH, Seed: 3, Pipelined: true, Workers: 4}
+	opts := Options{OT: ot.DH, Seed: 3, Workers: 4}
 	run2PCMixed(t, &w, 77, opts, opts)
 }
 
-// TestPipelinedFixedKeyHasher runs the pipeline under the batched
-// fixed-key hasher shared by all workers.
+// TestPipelinedFixedKeyHasher runs the parallel engine under the
+// batched fixed-key hasher shared by all workers.
 func TestPipelinedFixedKeyHasher(t *testing.T) {
 	w := workloads.AddN(16)
 	opts := Options{
-		OT: ot.Insecure, Seed: 5, Pipelined: true, Workers: 4,
+		OT: ot.Insecure, Seed: 5, Workers: 4,
 		Hasher: gc.NewFixedKeyHasher([16]byte{7}),
 	}
 	run2PCMixed(t, &w, 4, opts, opts)
 }
 
-// TestPipelinedOverTCP runs the pipelined protocol across a real socket.
+// TestPipelinedOverTCP runs the parallel engine across a real socket.
 func TestPipelinedOverTCP(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -111,7 +131,7 @@ func TestPipelinedOverTCP(t *testing.T) {
 	c := w.Build()
 	g, e := w.Inputs(21)
 	want := w.Reference(g, e)
-	opts := Options{OT: ot.IKNP, Seed: 12, Pipelined: true, Workers: 4}
+	opts := Options{OT: ot.IKNP, Seed: 12, Workers: 4}
 
 	done := make(chan error, 1)
 	go func() {
@@ -136,7 +156,7 @@ func TestPipelinedOverTCP(t *testing.T) {
 	}
 	for i := range want {
 		if bits[i] != want[i] {
-			t.Fatal("pipelined TCP result mismatch")
+			t.Fatal("parallel TCP result mismatch")
 		}
 	}
 	if err := <-done; err != nil {
@@ -145,7 +165,7 @@ func TestPipelinedOverTCP(t *testing.T) {
 }
 
 // TestPipelinedMismatchRejected: a mismatched circuit still fails fast
-// in pipelined mode and the garbler goroutine does not leak.
+// with parallel runners and the garbler goroutine does not leak.
 func TestPipelinedMismatchRejected(t *testing.T) {
 	wg := workloads.AddN(8)
 	we := workloads.AddN(16)
@@ -157,7 +177,7 @@ func TestPipelinedMismatchRejected(t *testing.T) {
 	defer ga.Close()
 	defer ev.Close()
 	errs := make(chan error, 1)
-	opts := Options{OT: ot.Insecure, Seed: 2, Pipelined: true, Workers: 2}
+	opts := Options{OT: ot.Insecure, Seed: 2, Workers: 2}
 	go func() {
 		_, err := RunGarbler(ga, cg, g, opts)
 		errs <- err
@@ -169,14 +189,14 @@ func TestPipelinedMismatchRejected(t *testing.T) {
 	<-errs
 }
 
-// TestPipelinedTransferStats: the instrumented byte counts hold in
-// pipelined mode too.
+// TestPipelinedTransferStats: the instrumented byte counts hold with a
+// parallel garbler facing a sequential evaluator.
 func TestPipelinedTransferStats(t *testing.T) {
 	w := workloads.DotProduct(8, 16)
 	c := w.Build()
 	g, e := w.Inputs(31)
 	stats := &Stats{}
-	opts := Options{OT: ot.Insecure, Seed: 17, Stats: stats, Pipelined: true, Workers: 4}
+	opts := Options{OT: ot.Insecure, Seed: 17, Stats: stats, Workers: 4}
 
 	ga, ev := net.Pipe()
 	defer ga.Close()
@@ -186,7 +206,7 @@ func TestPipelinedTransferStats(t *testing.T) {
 		_, err := RunGarbler(ga, c, g, opts)
 		gch <- err
 	}()
-	if _, err := RunEvaluator(ev, c, e, Options{OT: ot.Insecure, Seed: 17, Pipelined: true}); err != nil {
+	if _, err := RunEvaluator(ev, c, e, Options{OT: ot.Insecure, Seed: 17}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-gch; err != nil {

@@ -43,9 +43,11 @@ func runPlanned2PC(t *testing.T, w workloads.Workload, c *circuit.Circuit, gOpts
 	}
 }
 
-// TestPlanned2PCAllModes runs the planned protocol in every engine mode
-// and in mixed planned/dense pairings — the wire format must be
-// unchanged, so each side chooses its engine independently.
+// TestPlanned2PCAllModes runs the protocol over every pairing of engine
+// configurations — the wire format must be unchanged, so each side
+// chooses its own. "planned" sides share one precompiled plan, "dense"
+// sides hold only the circuit and compile a plan per call; "parallel"
+// runs four workers wide and "pipelined" two.
 func TestPlanned2PCAllModes(t *testing.T) {
 	for _, w := range []workloads.Workload{workloads.DotProduct(4, 16), workloads.Hamming(128)} {
 		c := w.Build()
@@ -59,8 +61,7 @@ func TestPlanned2PCAllModes(t *testing.T) {
 		plannedPar := planned
 		plannedPar.Workers = 4
 		plannedPipe := planned
-		plannedPipe.Pipelined = true
-		plannedPipe.Workers = 4
+		plannedPipe.Workers = 2
 
 		cases := []struct {
 			name         string
@@ -73,7 +74,7 @@ func TestPlanned2PCAllModes(t *testing.T) {
 			{"dense-garbler-planned-evaluator", base, planned},
 			{"planned-pipelined-vs-dense-sequential", plannedPipe, base},
 			{"dense-pipelined-vs-planned-sequential",
-				Options{OT: ot.Insecure, Seed: 9, Pipelined: true, Workers: 4}, planned},
+				Options{OT: ot.Insecure, Seed: 9, Workers: 2}, planned},
 		}
 		for _, tc := range cases {
 			t.Run(w.Name+"/"+tc.name, func(t *testing.T) {

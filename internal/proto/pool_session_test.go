@@ -61,6 +61,10 @@ func TestSessionPooledRuns(t *testing.T) {
 			out []bool
 			err error
 		}
+		wantPooled := run < 2
+		if gs.NextRunPooled() != wantPooled {
+			t.Fatalf("run %d: NextRunPooled=%v, want %v", run, gs.NextRunPooled(), wantPooled)
+		}
 		ch := make(chan res, 1)
 		go func() {
 			out, err := gs.Run(g)
@@ -78,10 +82,6 @@ func TestSessionPooledRuns(t *testing.T) {
 			if out[i] != want[i] || gr.out[i] != want[i] {
 				t.Fatalf("run %d output %d: eval=%v garb=%v want=%v", run, i, out[i], gr.out[i], want[i])
 			}
-		}
-		wantPooled := run < 2
-		if gs.LastRunPooled() != wantPooled {
-			t.Fatalf("run %d: LastRunPooled=%v, want %v", run, gs.LastRunPooled(), wantPooled)
 		}
 		if sp.Level() != rp.Level() {
 			t.Fatalf("run %d: pool levels diverged %d/%d", run, sp.Level(), rp.Level())
@@ -105,8 +105,8 @@ func TestSessionResetDetachesPool(t *testing.T) {
 	if gs.pool != nil || es.pool != nil {
 		t.Fatal("Reset left a pool attached")
 	}
-	if gs.LastRunPooled() {
-		t.Fatal("Reset left lastPooled set")
+	if gs.NextRunPooled() {
+		t.Fatal("Reset left the next run pooled")
 	}
 }
 

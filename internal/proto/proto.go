@@ -46,24 +46,16 @@ type Options struct {
 	Seed uint64
 	// Stats, when non-nil, collects transfer metrics for the run.
 	Stats *Stats
-	// Workers sets the width of the parallel garbling/evaluation engine.
-	// 0 or 1 keeps the classic sequential path (unless Pipelined is set,
-	// where 0 means one worker per CPU); > 1 garbles and evaluates with
-	// gc.ParallelGarble / gc.ParallelEval.
+	// Workers sets the width of the plan engine: 0 or 1 garbles and
+	// evaluates sequentially, > 1 partitions each wide dependence level
+	// across that many workers. Each side chooses independently; the
+	// wire format does not depend on it.
 	Workers int
-	// Pipelined overlaps garbling, table transfer and evaluation: the
-	// garbler streams each dependence level's tables as the worker pool
-	// finishes them while the evaluator consumes tables concurrently
-	// with evaluation — the software analogue of HAAC's table queues.
-	// The wire format is unchanged, so a pipelined party interoperates
-	// with a sequential peer.
-	Pipelined bool
-	// Plan, when non-nil, must be a plan compiled from the same circuit
-	// passed to RunGarbler/RunEvaluator; the run then executes over the
-	// plan's compact slot arena and cached schedule (in whichever mode
-	// Workers/Pipelined select) instead of dense per-run wire arrays.
-	// Share one plan across runs to amortize schedule construction and
-	// renaming. The wire format is unchanged.
+	// Plan, when non-nil, must be a plan compiled from the run's
+	// circuit; every run executes over the plan's compact slot arena
+	// and cached schedule. Sessions require it. The one-shot
+	// RunGarbler/RunEvaluator compile one per call when it is nil, so
+	// callers running one circuit repeatedly should share a plan.
 	Plan *circuit.Plan
 	// Integrity wraps the run's entire byte stream — both directions —
 	// in length+CRC32C frames (see FramedConn), so transport corruption
@@ -140,21 +132,16 @@ func decodeHeader(b []byte) header {
 	}
 }
 
-// checkHeader validates a run header received off the wire against the
-// local circuit. Every failure is typed ErrMalformedFrame: the header
-// either is not a HAAC frame at all (magic/version/OT byte) or
-// contradicts the circuit the parties agreed on — on a digest-verified
-// session the latter can only mean stream corruption, so a retrying
-// client treats both as transport damage.
-func checkHeader(h header, c *circuit.Circuit) error {
-	return checkHeaderWant(h, headerFor(c, Options{}))
-}
-
-// checkHeaderWant is checkHeader against a precomputed expected header
-// (the session path keeps one per connection so validation stays
-// allocation- and scan-free per run). want's OTProto is ignored: the
-// garbler picks the OT protocol and the evaluator follows, as long as
-// the byte names a protocol that exists.
+// checkHeaderWant validates a run header received off the wire against
+// the expected header of the local circuit (sessions keep one per
+// connection so validation stays allocation- and scan-free per run).
+// Every failure is typed ErrMalformedFrame: the header either is not a
+// HAAC frame at all (magic/version/OT byte) or contradicts the circuit
+// the parties agreed on — on a digest-verified session the latter can
+// only mean stream corruption, so a retrying client treats both as
+// transport damage. want's OTProto is ignored: the garbler picks the OT
+// protocol and the evaluator follows, as long as the byte names a
+// protocol that exists.
 func checkHeaderWant(h, want header) error {
 	if h.Magic != magic {
 		return fmt.Errorf("proto: %w: bad header magic %#x", ErrMalformedFrame, h.Magic)
@@ -224,23 +211,6 @@ func sendActiveInputs(w *bufio.Writer, c *circuit.Circuit, zeros []label.L, r la
 	return nil
 }
 
-// sendEvalLabels runs the sender side of the OT that delivers the
-// evaluator's input labels.
-func sendEvalLabels(conn io.ReadWriter, c *circuit.Circuit, zeros []label.L, r label.L, otp ot.Protocol) error {
-	if c.EvaluatorInputs == 0 {
-		return nil
-	}
-	pairs := make([]ot.Pair, c.EvaluatorInputs)
-	off := c.GarblerInputs
-	for i := range pairs {
-		pairs[i] = ot.Pair{M0: zeros[off+i], M1: zeros[off+i].Xor(r)}
-	}
-	if err := ot.Send(conn, otp, pairs); err != nil {
-		return wrapPeer("OT", err)
-	}
-	return nil
-}
-
 // writeTables streams a chunk of the gate-order table stream,
 // slab-encoding up to slabTables tables per Write.
 func writeTables(w *bufio.Writer, tables []gc.Material) error {
@@ -260,231 +230,67 @@ func writeTables(w *bufio.Writer, tables []gc.Material) error {
 	return nil
 }
 
-// finishGarbler sends the decode bits and collects the evaluator's
-// plaintext result.
-func finishGarbler(conn io.ReadWriter, w *bufio.Writer, c *circuit.Circuit, garbled *gc.Garbled) ([]bool, error) {
-	for _, d := range garbled.DecodeBits() {
-		if err := w.WriteByte(byte(d)); err != nil {
-			return nil, wrapPeer("sending decode bits", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, wrapPeer("sending decode bits", err)
-	}
-	res := make([]byte, len(c.Outputs))
-	if _, err := io.ReadFull(conn, res); err != nil {
-		return nil, wrapPeer("reading result", err)
-	}
-	out := make([]bool, len(res))
-	for i, b := range res {
-		out[i] = b == 1
-	}
-	return out, nil
-}
-
-// RunGarbler executes the garbler role end to end and returns the
-// plaintext outputs reported back by the evaluator. Options select the
-// engine: sequential streaming (default), offline parallel (Workers > 1)
-// or level-pipelined parallel (Pipelined).
+// RunGarbler executes the garbler role of one run end to end and
+// returns the plaintext outputs reported back by the evaluator. It is
+// exactly one GarblerSession run; without Options.Plan a plan is
+// compiled for c first.
 func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts Options) ([]bool, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	if len(garblerBits) != c.GarblerInputs {
-		return nil, fmt.Errorf("proto: got %d garbler bits, want %d", len(garblerBits), c.GarblerInputs)
-	}
-	if opts.Plan != nil && opts.Plan.Circuit != c {
-		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
-	}
-	conn = instrument(conn, &opts)
-	if opts.Integrity {
-		conn = NewFramedConn(conn)
-	}
-	opts.Stats.begin()
-	defer opts.Stats.end()
-	w := bufio.NewWriterSize(conn, 1<<16)
-
-	h := headerFor(c, opts)
-	var hb [headerSize]byte
-	h.encode(hb[:])
-	if _, err := w.Write(hb[:]); err != nil {
-		return nil, wrapPeer("writing header", err)
-	}
-
-	if opts.Plan != nil {
-		return garblerPlanned(conn, w, c, garblerBits, opts)
-	}
-	if opts.Pipelined {
-		return garblerPipelined(conn, w, c, garblerBits, opts)
-	}
-	if opts.Workers > 1 {
-		return garblerOffline(conn, w, c, garblerBits, opts)
-	}
-
-	sg, err := gc.NewStreamGarbler(c, opts.Hasher, label.NewSource(opts.Seed))
+	conn, stats, err := oneShot(conn, c, &opts)
 	if err != nil {
 		return nil, err
 	}
-	zeros := sg.InputZeros()
-	r := sg.R()
-
-	if err := sendActiveInputs(w, c, zeros, r, garblerBits); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, wrapPeer("flushing stream", err)
-	}
-	if err := sendEvalLabels(conn, c, zeros, r, opts.OT); err != nil {
-		return nil, err
-	}
-
-	// Stream tables gate by gate, batching slabTables of them into one
-	// pooled slab per Write so the steady-state loop never allocates.
-	bp := getSlab(slabBytes)
-	slab := *bp
-	fill := 0
-	for {
-		m, ok := sg.Next()
-		if !ok {
-			break
-		}
-		m.TG.Put(slab[fill:])
-		m.TE.Put(slab[fill+label.Size:])
-		fill += gc.MaterialSize
-		if fill+gc.MaterialSize > slabBytes {
-			if _, err := w.Write(slab[:fill]); err != nil {
-				putSlab(bp)
-				return nil, wrapPeer("streaming tables", err)
-			}
-			fill = 0
-		}
-	}
-	if fill > 0 {
-		if _, err := w.Write(slab[:fill]); err != nil {
-			putSlab(bp)
-			return nil, wrapPeer("streaming tables", err)
-		}
-	}
-	putSlab(bp)
-	return finishGarbler(conn, w, c, sg.Finish())
-}
-
-// garblerOffline garbles the whole circuit with the parallel engine
-// before any label leaves the machine, then bulk-streams the result —
-// the paper's "offline phase to completion" baseline.
-func garblerOffline(conn io.ReadWriter, w *bufio.Writer, c *circuit.Circuit, garblerBits []bool, opts Options) ([]bool, error) {
-	garbled, err := gc.ParallelGarble(c, opts.Hasher, label.NewSource(opts.Seed), opts.Workers)
+	stats.begin()
+	defer stats.end()
+	gs, err := NewGarblerSession(conn, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := sendActiveInputs(w, c, garbled.InputZeros, garbled.R, garblerBits); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, wrapPeer("flushing stream", err)
-	}
-	if err := sendEvalLabels(conn, c, garbled.InputZeros, garbled.R, opts.OT); err != nil {
-		return nil, err
-	}
-	if err := writeTables(w, garbled.Tables); err != nil {
-		return nil, err
-	}
-	return finishGarbler(conn, w, c, garbled)
+	defer gs.Close()
+	return gs.Run(garblerBits)
 }
 
-// RunEvaluator executes the evaluator role and returns the plaintext
-// outputs (also reported back to the garbler).
+// RunEvaluator executes the evaluator role of one run and returns the
+// plaintext outputs (also reported back to the garbler). It is exactly
+// one EvaluatorSession run; without Options.Plan a plan is compiled for
+// c first.
 func RunEvaluator(conn io.ReadWriter, c *circuit.Circuit, evalBits []bool, opts Options) ([]bool, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	if len(evalBits) != c.EvaluatorInputs {
-		return nil, fmt.Errorf("proto: got %d evaluator bits, want %d", len(evalBits), c.EvaluatorInputs)
-	}
-	if opts.Plan != nil && opts.Plan.Circuit != c {
-		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
-	}
-	conn = instrument(conn, &opts)
-	if opts.Integrity {
-		conn = NewFramedConn(conn)
-	}
-	opts.Stats.begin()
-	defer opts.Stats.end()
-	rd := bufio.NewReaderSize(conn, 1<<16)
-
-	var hb [headerSize]byte
-	if _, err := io.ReadFull(rd, hb[:]); err != nil {
-		return nil, wrapPeer("reading header", err)
-	}
-	h := decodeHeader(hb[:])
-	if err := checkHeader(h, c); err != nil {
-		return nil, err
-	}
-
-	// All fixed-position labels (garbler inputs, then the two constants)
-	// arrive in one slab read and decode in bulk.
-	inputs := make([]label.L, c.NumInputs())
-	nFixed := c.GarblerInputs
-	if c.HasConst {
-		nFixed += 2
-	}
-	if nFixed > 0 {
-		bp := getSlab(nFixed * label.Size)
-		slab := (*bp)[:nFixed*label.Size]
-		if _, err := io.ReadFull(rd, slab); err != nil {
-			putSlab(bp)
-			return nil, wrapPeer("reading garbler labels", err)
-		}
-		label.DecodeSlice(inputs[:c.GarblerInputs], slab)
-		if c.HasConst {
-			inputs[c.Const0] = label.FromBytes(slab[c.GarblerInputs*label.Size:])
-			inputs[c.Const1] = label.FromBytes(slab[(c.GarblerInputs+1)*label.Size:])
-		}
-		putSlab(bp)
-	}
-
-	if c.EvaluatorInputs > 0 {
-		// OT happens on the raw conn; everything buffered so far has
-		// been consumed (header + labels are fixed-size). Choices travel
-		// packed: IKNP consumes the bitset words directly.
-		got, err := ot.ReceiveBitset(readWriter{rd, conn}, ot.Protocol(h.OTProto), ot.BitsetFromBools(evalBits))
-		if err != nil {
-			return nil, wrapPeer("OT", err)
-		}
-		copy(inputs[c.GarblerInputs:], got)
-	}
-
-	var outLabels []label.L
-	var err error
-	switch {
-	case opts.Pipelined:
-		outLabels, err = evalPipelined(rd, c, inputs, int(h.NTables), opts)
-	case opts.Plan != nil:
-		outLabels, err = evalPlanned(rd, c, inputs, int(h.NTables), opts)
-	case opts.Workers > 1:
-		outLabels, err = evalOffline(rd, c, inputs, int(h.NTables), opts)
-	default:
-		outLabels, err = evalSequential(rd, c, inputs, opts)
-	}
+	conn, stats, err := oneShot(conn, c, &opts)
 	if err != nil {
 		return nil, err
 	}
+	stats.begin()
+	defer stats.end()
+	es, err := NewEvaluatorSession(conn, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer es.Close()
+	return es.Run(evalBits)
+}
 
-	decode := make([]byte, len(c.Outputs))
-	if _, err := io.ReadFull(rd, decode); err != nil {
-		return nil, wrapPeer("reading decode bits", err)
+// oneShot prepares a one-shot run: it compiles a plan for c when the
+// caller brought none, counts bytes on the raw transport (below any
+// framing), and frames both directions when Integrity is set. It
+// returns the caller's Stats and clears opts.Stats, so the session
+// running over the returned transport does not count a second time.
+func oneShot(conn io.ReadWriter, c *circuit.Circuit, opts *Options) (io.ReadWriter, *Stats, error) {
+	if opts.Plan == nil {
+		p, err := circuit.NewPlan(c)
+		if err != nil {
+			return nil, nil, fmt.Errorf("proto: %w", err)
+		}
+		opts.Plan = p
 	}
-	result := make([]bool, len(outLabels))
-	res := make([]byte, len(outLabels))
-	for i, l := range outLabels {
-		v := l.Colour() ^ int(decode[i])
-		result[i] = v == 1
-		res[i] = byte(v)
+	if opts.Plan.Circuit != c {
+		return nil, nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
 	}
-	if _, err := conn.Write(res); err != nil {
-		return nil, wrapPeer("sending result", err)
+	stats := opts.Stats
+	opts.Stats = nil
+	conn = Instrument(conn, stats)
+	if opts.Integrity {
+		conn = NewFramedConn(conn)
 	}
-	return result, nil
+	return conn, stats, nil
 }
 
 // readWriter pairs the buffered reader with the raw writer so OT can run

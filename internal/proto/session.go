@@ -11,21 +11,17 @@ import (
 	"haac/internal/ot"
 )
 
-// Protocol sessions: persistent per-connection endpoints for serving
-// many runs of one circuit. RunGarbler/RunEvaluator pay per-run setup —
-// a bufio buffer, header reflection, result slices, a fresh engine —
-// which a process answering thousands of requests cannot afford.
-// A GarblerSession/EvaluatorSession pair owns that state for the
-// lifetime of a connection: the buffered writer/reader, the packed
-// header, OT pair scratch, result buffers and a reusable plan runner
-// all persist, so a steady-state run allocates nothing on either side
-// (on-demand OT for evaluator inputs is the one inherently allocating
-// step — its cost is public-key crypto, not transport; a run served
-// from an attached ot.Pool avoids even that).
-//
-// Each Run produces a byte stream identical to the one-shot entry
-// points, so a session peer interoperates with RunGarbler/RunEvaluator
-// on the other end of the wire.
+// Protocol sessions: persistent per-connection endpoints, and the only
+// place the run sequence — header, garbler labels, OT, level-streamed
+// tables, decode bits, result — is implemented. RunGarbler/RunEvaluator
+// are single session runs; a server keeps sessions for many runs of one
+// circuit. A GarblerSession/EvaluatorSession pair owns the per-run
+// state for the lifetime of a connection: the buffered writer/reader,
+// the packed header, OT pair scratch, result buffers and a reusable
+// plan runner all persist, so a steady-state run allocates nothing on
+// either side (on-demand OT for evaluator inputs is the one inherently
+// allocating step — its cost is public-key crypto, not transport; a run
+// served from an attached ot.Pool avoids even that).
 
 // GarblerSession is a reusable garbler endpoint bound to one connection
 // and one precompiled plan. It is not safe for concurrent use; a server
@@ -48,8 +44,7 @@ type GarblerSession struct {
 	// Run marks the per-run header ot.Pooled and derandomizes instead of
 	// running opts.OT on demand — the evaluator follows the header, so
 	// both sides consume their pools in lockstep.
-	pool       *ot.Pool
-	lastPooled bool
+	pool *ot.Pool
 
 	// Resume scratch: garbling is a pure function of the label-source
 	// state at Begin, so ResumeRun replays a broken run's table stream
@@ -60,18 +55,14 @@ type GarblerSession struct {
 }
 
 // NewGarblerSession builds a garbler session over conn. Options.Plan is
-// required (serving always amortizes through plans); Workers selects
-// the plan engine width. Pipelined is rejected: the plan garbler
-// already streams each level's tables through the session writer as it
+// required; Workers selects the plan engine width. The plan garbler
+// streams each level's tables through the session writer as it
 // completes them. A zero Options.Seed draws a random one; the session's
 // label source then advances across runs, so every run garbles with
 // fresh labels.
 func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error) {
 	if opts.Plan == nil {
 		return nil, fmt.Errorf("proto: GarblerSession requires Options.Plan")
-	}
-	if opts.Pipelined {
-		return nil, fmt.Errorf("proto: GarblerSession does not support Options.Pipelined (tables already stream per level)")
 	}
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -81,7 +72,7 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		opts:  opts,
 		c:     c,
 		w:     bufio.NewWriterSize(io.Discard, 1<<16),
-		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, planWorkers(opts)),
+		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, max(opts.Workers, 1)),
 		src:   label.NewSource(opts.Seed),
 		pairs: make([]ot.Pair, c.EvaluatorInputs),
 		res:   make([]byte, len(c.Outputs)),
@@ -120,7 +111,6 @@ func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
 	// A pool is bound to the old connection's base-OT state; the new
 	// connection starts without one until the peer negotiates a refill.
 	s.pool = nil
-	s.lastPooled = false
 }
 
 // SetPool attaches a sender pool whose correlations future Runs may
@@ -128,11 +118,15 @@ func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
 // connection; Reset detaches it.
 func (s *GarblerSession) SetPool(p *ot.Pool) { s.pool = p }
 
-// LastRunPooled reports whether the most recent Run served the
-// evaluator's labels from the pool (a hit) rather than falling back to
-// the on-demand protocol — the serving layer's hit/miss accounting
-// hook.
-func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
+// NextRunPooled reports whether the next Run will serve the evaluator's
+// labels from the pool (a hit) rather than fall back to the on-demand
+// protocol: an attached pool holds at least one run's demand. Run
+// decides with this same check before the header leaves, so the
+// serving layer accounts hits and misses by calling it just before Run.
+func (s *GarblerSession) NextRunPooled() bool {
+	n := s.c.EvaluatorInputs
+	return s.pool != nil && n > 0 && s.pool.Level() >= n
+}
 
 // Close releases the plan runner's worker pool.
 func (s *GarblerSession) Close() { s.pg.Close() }
@@ -151,8 +145,7 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	// error). The header's OT byte tells the evaluator which path this
 	// run takes, keeping both pools in lockstep.
 	otp := s.opts.OT
-	s.lastPooled = s.pool != nil && c.EvaluatorInputs > 0 && s.pool.Level() >= c.EvaluatorInputs
-	if s.lastPooled {
+	if s.NextRunPooled() {
 		otp = ot.Pooled
 	}
 	s.hdr[5] = byte(otp)
@@ -236,11 +229,8 @@ func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 }
 
 // EvaluatorSession is a reusable evaluator endpoint bound to one
-// connection. With Options.Plan set it holds a persistent plan runner
-// and table arena, making steady-state runs allocation-free; without a
-// plan each Run uses the dense engine selected by Workers/Pipelined
-// (correct, but with the usual per-run allocations). Not safe for
-// concurrent use.
+// connection. It holds a persistent plan runner and table arena, making
+// steady-state runs allocation-free. Not safe for concurrent use.
 type EvaluatorSession struct {
 	opts   Options
 	c      *circuit.Circuit
@@ -266,7 +256,7 @@ type EvaluatorSession struct {
 	// always.
 	pool *ot.Pool
 
-	// Resume bookkeeping: once a plan-path run has its inputs (OT done),
+	// Resume bookkeeping: once a run has its inputs (OT done),
 	// the run is resumable — the verified tables in the arena and the
 	// held input labels survive a transport swap, so only tables[got:]
 	// need re-transfer.
@@ -275,17 +265,25 @@ type EvaluatorSession struct {
 }
 
 // NewEvaluatorSession builds an evaluator session for c over conn.
+// Options.Plan is required and must be compiled from c; Workers selects
+// the plan engine width.
 func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (*EvaluatorSession, error) {
+	if opts.Plan == nil {
+		return nil, fmt.Errorf("proto: EvaluatorSession requires Options.Plan")
+	}
+	if opts.Plan.Circuit != c {
+		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
+	}
 	if err := opts.fill(); err != nil {
 		return nil, err
-	}
-	if opts.Plan != nil && opts.Plan.Circuit != c {
-		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
 	}
 	s := &EvaluatorSession{
 		opts:    opts,
 		c:       c,
 		rd:      bufio.NewReaderSize(bytesReaderNone{}, 1<<16),
+		pe:      gc.NewPlanEvaluator(opts.Plan, opts.Hasher, max(opts.Workers, 1)),
+		tables:  make([]gc.Material, opts.Plan.Schedule.NumAND),
+		slab:    make([]byte, slabBytes),
 		want:    headerFor(c, opts),
 		inputs:  make([]label.L, c.NumInputs()),
 		decode:  make([]byte, len(c.Outputs)),
@@ -293,16 +291,11 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		out:     make([]bool, len(c.Outputs)),
 		choices: ot.NewBitset(c.EvaluatorInputs),
 	}
-	if opts.Plan != nil {
-		s.pe = gc.NewPlanEvaluator(opts.Plan, opts.Hasher, planWorkers(opts))
-		s.tables = make([]gc.Material, opts.Plan.Schedule.NumAND)
-		s.slab = make([]byte, slabBytes)
-		s.need = func(n int) ([]gc.Material, error) {
-			if err := s.readTables(n); err != nil {
-				return nil, err
-			}
-			return s.tables[:s.got], nil
+	s.need = func(n int) ([]gc.Material, error) {
+		if err := s.readTables(n); err != nil {
+			return nil, err
 		}
+		return s.tables[:s.got], nil
 	}
 	s.Reset(conn)
 	return s, nil
@@ -328,12 +321,8 @@ func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 // connection; Reset detaches it.
 func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 
-// Close releases the plan runner's worker pool, if any.
-func (s *EvaluatorSession) Close() {
-	if s.pe != nil {
-		s.pe.Close()
-	}
-}
+// Close releases the plan runner's worker pool.
+func (s *EvaluatorSession) Close() { s.pe.Close() }
 
 // readTables pulls gate-order tables off the wire into the persistent
 // arena until upto of them have landed.
@@ -395,27 +384,14 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 		}
 	}
 
-	var outLabels []label.L
-	var err error
-	if s.pe != nil {
-		s.got = 0
-		s.lastTables = int(h.NTables)
-		s.resumable = true
-		outLabels, err = s.pe.EvalStream(s.inputs, s.need)
-		if err == nil {
-			// Keep the stream position honest even for all-linear
-			// circuits; the decode bits follow on the same connection.
-			err = s.readTables(int(h.NTables))
-		}
-	} else {
-		switch {
-		case s.opts.Pipelined:
-			outLabels, err = evalPipelined(s.rd, c, s.inputs, int(h.NTables), s.opts)
-		case s.opts.Workers > 1:
-			outLabels, err = evalOffline(s.rd, c, s.inputs, int(h.NTables), s.opts)
-		default:
-			outLabels, err = evalSequential(s.rd, c, s.inputs, s.opts)
-		}
+	s.got = 0
+	s.lastTables = int(h.NTables)
+	s.resumable = true
+	outLabels, err := s.pe.EvalStream(s.inputs, s.need)
+	if err == nil {
+		// Keep the stream position honest even for all-linear circuits;
+		// the decode bits follow on the same connection.
+		err = s.readTables(int(h.NTables))
 	}
 	if err != nil {
 		return nil, err
@@ -443,8 +419,8 @@ func (s *EvaluatorSession) finishRun(outLabels []label.L) ([]bool, error) {
 }
 
 // Progress reports how many verified tables the current broken run has
-// ingested and whether it can be resumed at all: only plan-path runs
-// that completed OT (inputs in hand) qualify. The transfer position is
+// ingested and whether it can be resumed at all: only runs that
+// completed OT (inputs in hand) qualify. The transfer position is
 // the ingest count, not the transport's read offset — bytes a failed
 // read-ahead buffered but never verified are simply re-sent.
 func (s *EvaluatorSession) Progress() (got int, ok bool) {

@@ -31,8 +31,8 @@ func TestHeaderCodecMatchesBinary(t *testing.T) {
 }
 
 // sessionPair wires a GarblerSession and EvaluatorSession over an
-// in-memory connection.
-func sessionPair(t *testing.T, w workloads.Workload, evalPlan bool, otp ot.Protocol) (*GarblerSession, *EvaluatorSession, *circuit.Circuit) {
+// in-memory connection, the evaluator running evalWorkers wide.
+func sessionPair(t *testing.T, w workloads.Workload, evalWorkers int, otp ot.Protocol) (*GarblerSession, *EvaluatorSession, *circuit.Circuit) {
 	t.Helper()
 	c := w.Build()
 	p, err := circuit.NewPlan(c)
@@ -45,11 +45,7 @@ func sessionPair(t *testing.T, w workloads.Workload, evalPlan bool, otp ot.Proto
 	if err != nil {
 		t.Fatal(err)
 	}
-	eopts := Options{OT: otp}
-	if evalPlan {
-		eopts.Plan = p
-	}
-	es, err := NewEvaluatorSession(ev, c, eopts)
+	es, err := NewEvaluatorSession(ev, c, Options{OT: otp, Plan: p, Workers: evalWorkers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +54,12 @@ func sessionPair(t *testing.T, w workloads.Workload, evalPlan bool, otp ot.Proto
 }
 
 // TestSessionRepeatedRuns: many runs over one session pair match the
-// plaintext oracle, with fresh labels per run, in both evaluator modes.
+// plaintext oracle, with fresh labels per run, for a sequential and a
+// parallel evaluator.
 func TestSessionRepeatedRuns(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
-	for _, evalPlan := range []bool{true, false} {
-		gs, es, c := sessionPair(t, w, evalPlan, ot.Insecure)
+	for _, workers := range []int{1, 4} {
+		gs, es, c := sessionPair(t, w, workers, ot.Insecure)
 		for run := 0; run < 4; run++ {
 			g, e := w.Inputs(int64(run))
 			want, err := c.Eval(g, e)
@@ -80,16 +77,16 @@ func TestSessionRepeatedRuns(t *testing.T) {
 			}()
 			out, err := es.Run(e)
 			if err != nil {
-				t.Fatalf("evalPlan=%v run %d: evaluator: %v", evalPlan, run, err)
+				t.Fatalf("workers=%d run %d: evaluator: %v", workers, run, err)
 			}
 			gr := <-ch
 			if gr.err != nil {
-				t.Fatalf("evalPlan=%v run %d: garbler: %v", evalPlan, run, gr.err)
+				t.Fatalf("workers=%d run %d: garbler: %v", workers, run, gr.err)
 			}
 			for i := range want {
 				if out[i] != want[i] || gr.out[i] != want[i] {
-					t.Fatalf("evalPlan=%v run %d: output %d: eval=%v garb=%v want=%v",
-						evalPlan, run, i, out[i], gr.out[i], want[i])
+					t.Fatalf("workers=%d run %d: output %d: eval=%v garb=%v want=%v",
+						workers, run, i, out[i], gr.out[i], want[i])
 				}
 			}
 		}
@@ -97,8 +94,8 @@ func TestSessionRepeatedRuns(t *testing.T) {
 }
 
 // TestSessionInteropWithOneShotEvaluator: a GarblerSession's stream is
-// byte-identical to RunGarbler's, so the classic one-shot evaluator can
-// consume it unchanged.
+// byte-identical to RunGarbler's, so the one-shot evaluator, compiling
+// its own plan, consumes it unchanged.
 func TestSessionInteropWithOneShotEvaluator(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -138,8 +135,8 @@ func TestSessionInteropWithOneShotEvaluator(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsBadOptions: sessions demand a plan on the garbler
-// side, matching circuits, and correct input widths.
+// TestSessionRejectsBadOptions: sessions demand a plan on both sides,
+// matching circuits, and correct input widths.
 func TestSessionRejectsBadOptions(t *testing.T) {
 	c1 := workloads.DotProduct(2, 8).Build()
 	c2 := workloads.DotProduct(3, 8).Build()
@@ -153,8 +150,8 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	if _, err := NewGarblerSession(ga, Options{}); err == nil {
 		t.Error("GarblerSession accepted nil plan")
 	}
-	if _, err := NewGarblerSession(ga, Options{Plan: p1, Pipelined: true}); err == nil {
-		t.Error("GarblerSession accepted Pipelined")
+	if _, err := NewEvaluatorSession(ev, c1, Options{}); err == nil {
+		t.Error("EvaluatorSession accepted nil plan")
 	}
 	if _, err := NewEvaluatorSession(ev, c2, Options{Plan: p1}); err == nil {
 		t.Error("EvaluatorSession accepted a foreign plan")
@@ -167,7 +164,7 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	if _, err := gs.Run(make([]bool, c1.GarblerInputs+1)); err == nil {
 		t.Error("GarblerSession.Run accepted wrong input width")
 	}
-	es, err := NewEvaluatorSession(ev, c1, Options{})
+	es, err := NewEvaluatorSession(ev, c1, Options{Plan: p1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,8 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 
 // TestEvaluatorFailsFastOnPeerClose: an abrupt garbler disconnect
 // surfaces as ErrPeerClosed — not a raw io.ReadFull error — in every
-// evaluator mode, whether the cut lands before or after the header.
+// engine configuration, whether the cut lands before or after the
+// header.
 func TestEvaluatorFailsFastOnPeerClose(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -193,8 +191,7 @@ func TestEvaluatorFailsFastOnPeerClose(t *testing.T) {
 		opts Options
 	}{
 		{"sequential", Options{OT: ot.Insecure}},
-		{"offline", Options{OT: ot.Insecure, Workers: 2}},
-		{"pipelined", Options{OT: ot.Insecure, Pipelined: true, Workers: 2}},
+		{"parallel", Options{OT: ot.Insecure, Workers: 2}},
 		{"planned", Options{OT: ot.Insecure, Plan: p}},
 	}
 	for _, m := range modes {

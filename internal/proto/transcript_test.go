@@ -148,8 +148,8 @@ func runTranscript(t *testing.T, tc transcriptCase, gw, ew io.ReadWriter,
 	}
 }
 
-// transcriptModes are the one-shot engine configurations; each entry
-// returns the options for a circuit (plans are compiled per circuit).
+// transcriptModes are the one-shot engine configurations for c: with
+// and without a shared plan, sequential and four workers wide.
 func transcriptModes(t *testing.T, c *circuit.Circuit) []struct {
 	name string
 	opts Options
@@ -166,7 +166,6 @@ func transcriptModes(t *testing.T, c *circuit.Circuit) []struct {
 	}{
 		{"sequential", base},
 		{"workers-4", with(func(o *Options) { o.Workers = 4 })},
-		{"pipelined", with(func(o *Options) { o.Pipelined = true; o.Workers = 4 })},
 		{"plan", with(func(o *Options) { o.Plan = p })},
 		{"plan-workers-4", with(func(o *Options) { o.Plan = p; o.Workers = 4 })},
 	}

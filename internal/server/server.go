@@ -780,6 +780,16 @@ func (s *Server) handle(st *session) {
 		if bb != nil {
 			bb.reset()
 		}
+		// Account the pool hit or miss when the run decides it, before
+		// any byte of it leaves: a client whose Run has returned then
+		// always finds its run's decision in Stats.
+		if pooled {
+			if gs.NextRunPooled() {
+				s.poolHits.Add(1)
+			} else {
+				s.poolMisses.Add(1)
+			}
+		}
 		start := time.Now()
 		if _, err := gs.Run(bits); err != nil {
 			s.failRun(err)
@@ -790,13 +800,6 @@ func (s *Server) handle(st *session) {
 		}
 		if fr != nil {
 			s.resume.drop(token)
-		}
-		if pooled {
-			if gs.LastRunPooled() {
-				s.poolHits.Add(1)
-			} else {
-				s.poolMisses.Add(1)
-			}
 		}
 		s.runs.Add(1)
 		s.runNanos.Add(uint64(time.Since(start)))
