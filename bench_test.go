@@ -203,8 +203,8 @@ func BenchmarkGarblerVsEvaluator(b *testing.B) {
 }
 
 // BenchmarkRekeyingOverhead regenerates the "rekey" experiment: the
-// re-keyed vs fixed-key garbling cost on matched software AES backends
-// (the paper-comparable number) and vs crypto/aes. The per-gate
+// re-keyed vs fixed-key garbling cost on the same AES backend (AES-NI
+// where the host has it), the paper-comparable number. The per-gate
 // hashing benchmarks behind it live in internal/gc
 // (BenchmarkRekeyedHash4, BenchmarkRekeyedGarble, ...) and report B/op
 // and allocs/op directly.

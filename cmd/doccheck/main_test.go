@@ -7,8 +7,9 @@ import (
 )
 
 // gatedPackages are the protocol-bearing packages whose doc comments
-// serve as the wire-format ground truth (see docs/ARCHITECTURE.md).
-// CI runs `go run ./cmd/doccheck` over the same list; this test makes
+// serve as the wire-format ground truth (see docs/ARCHITECTURE.md), plus
+// internal/aes128, whose doc comments state which path is constant-time.
+// CI runs `go run ./cmd/doccheck` over these and more; this test makes
 // the gate part of plain `go test ./...` too.
 var gatedPackages = []string{
 	"internal/ot",
@@ -16,6 +17,7 @@ var gatedPackages = []string{
 	"internal/server",
 	"internal/fleet",
 	"internal/faultnet",
+	"internal/aes128",
 }
 
 func TestGatedPackagesDocumented(t *testing.T) {

@@ -317,6 +317,12 @@ func TestFacadeServing(t *testing.T) {
 	if d := CircuitDigest(c); d == [32]byte{} {
 		t.Fatal("zero digest")
 	}
+	// Close drains every session, so the server has accounted each run
+	// its clients completed before Stats is read: a client's Run can
+	// return before the server's handler counts the run.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st := srv.Stats()
 	if st.RunsServed != 4 || st.CacheMisses != 1 {
 		t.Fatalf("stats = %+v, want 4 runs / 1 miss", st)

@@ -1,14 +1,28 @@
-// Package aes128 is a from-scratch software implementation of AES-128
-// (key expansion and single-block encryption). HAAC's gate engines are
-// built around exactly these two computations: every garbled AND gate
-// performs full key expansions ("re-keying", §2.1 of the paper) followed
-// by AES block encryptions, so the accelerator's cost model — and our
-// software baseline — both hinge on this primitive.
+// Package aes128 implements AES-128 key expansion and block encryption
+// from scratch. HAAC's gate engines are built around exactly these two
+// computations: every garbled AND gate performs full key expansions
+// ("re-keying", §2.1 of the paper) followed by AES block encryptions, so
+// the accelerator's cost model — and our software baseline — both hinge
+// on this primitive.
 //
-// The implementation favours clarity over speed: it is the reference the
-// cycle simulator's Half-Gate pipeline is validated against, and it is
-// tested for equality with the standard library's crypto/aes on random
-// inputs. The hot two-party path in internal/gc may use either.
+// The package has three tiers over one Schedule type (44 big-endian
+// round-key words):
+//
+//   - Expand/Encrypt, a byte-oriented reference written for clarity. The
+//     cycle simulator's Half-Gate pipeline is validated against it.
+//   - Schedule.ExpandFrom/EncryptTo/EncryptBlocksTo and the two-key
+//     kernels EncryptRekeyed2/EncryptRekeyed4, the allocation-free hot
+//     path of the re-keyed garbling hash. On amd64 hosts with AES-NI
+//     (detected once from CPUID) they run assembly: the kernels expand
+//     both gate keys on the fly with AESENCLAST, interleaved with the
+//     AESENC rounds, and keep every round key in registers. This path
+//     makes no memory lookup indexed by key or data.
+//   - A portable T-table implementation of the same entry points for
+//     every other host. Its table lookups are indexed by secret bytes, so
+//     it is not constant-time.
+//
+// All tiers are tested for equality with each other and with the
+// standard library's crypto/aes on random inputs.
 package aes128
 
 // BlockSize is the AES block size in bytes.

@@ -1,14 +1,15 @@
 package aes128
 
-// The performance tier of the package: word-oriented ("T-table") AES-128
-// beside the clarity-first byte-oriented reference. Each T-table entry
-// folds SubBytes and MixColumns for one input byte into a 32-bit word,
-// so a full round is 16 table lookups and a handful of XORs instead of
-// per-byte field arithmetic. The garbling hot path re-keys per gate, so
-// the tier is built around caller-owned storage: ExpandFrom fills an
-// existing Schedule and EncryptTo/EncryptBlocksTo write into caller
-// buffers — no call on this path allocates, which is what lets the
-// re-keyed hasher in internal/gc run with zero steady-state allocations.
+// The portable tier of the package: word-oriented ("T-table") AES-128.
+// Each T-table entry folds SubBytes and MixColumns for one input byte
+// into a 32-bit word, so a full round is 16 table lookups and a handful
+// of XORs instead of per-byte field arithmetic. It backs every
+// Schedule method and two-key kernel on hosts without AES-NI, and it is
+// the oracle the AES-NI kernels are cross-checked against.
+//
+// It is not constant-time: the table indices are key and state bytes,
+// so its cache footprint depends on secrets (wire labels, on the
+// garbling path). The AES-NI path has no such lookups.
 //
 // The tables and round structure follow FIPS-197 directly (they are the
 // same construction crypto/aes uses for its non-asm fallback); equality
@@ -35,10 +36,8 @@ func init() {
 	}
 }
 
-// ExpandFrom computes the key schedule for key into s, overwriting its
-// previous contents. It is the allocation-free form of Expand for hot
-// paths that own a Schedule and re-key it per gate.
-func (s *Schedule) ExpandFrom(key *[KeySize]byte) {
+// expandTTable is ExpandFrom on the portable path.
+func (s *Schedule) expandTTable(key *[KeySize]byte) {
 	s[0] = binary.BigEndian.Uint32(key[0:4])
 	s[1] = binary.BigEndian.Uint32(key[4:8])
 	s[2] = binary.BigEndian.Uint32(key[8:12])
@@ -54,8 +53,7 @@ func (s *Schedule) ExpandFrom(key *[KeySize]byte) {
 }
 
 // encryptWords runs the ten AES-128 rounds over one block held as four
-// big-endian state words. It is the shared core of EncryptTo and
-// EncryptBlocksTo.
+// big-endian state words.
 func (s *Schedule) encryptWords(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
 	s0 ^= s[0]
 	s1 ^= s[1]
@@ -80,31 +78,17 @@ func (s *Schedule) encryptWords(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, 
 	return t0 ^ s[40], t1 ^ s[41], t2 ^ s[42], t3 ^ s[43]
 }
 
-// EncryptTo encrypts one 16-byte block through the T-table path. dst and
-// src may overlap; neither this call nor the word core allocates.
-func (s *Schedule) EncryptTo(dst, src []byte) {
-	s0 := binary.BigEndian.Uint32(src[0:4])
-	s1 := binary.BigEndian.Uint32(src[4:8])
-	s2 := binary.BigEndian.Uint32(src[8:12])
-	s3 := binary.BigEndian.Uint32(src[12:16])
-	s0, s1, s2, s3 = s.encryptWords(s0, s1, s2, s3)
-	binary.BigEndian.PutUint32(dst[0:4], s0)
-	binary.BigEndian.PutUint32(dst[4:8], s1)
-	binary.BigEndian.PutUint32(dst[8:12], s2)
-	binary.BigEndian.PutUint32(dst[12:16], s3)
-}
-
-// EncryptBlocksTo encrypts len(src)/BlockSize consecutive blocks under
-// one schedule — the batched form the re-keyed garbler uses for the two
-// blocks that share a gate tweak. len(src) must be a multiple of
-// BlockSize and dst must be at least as long; dst and src may overlap
-// block-aligned.
-func (s *Schedule) EncryptBlocksTo(dst, src []byte) {
-	if len(src) == 0 {
-		return
-	}
-	_ = dst[len(src)-1] // length check, not capacity: reject a short dst up front
+// encryptBlocksTTable encrypts len(src)/BlockSize consecutive blocks
+// on the portable path; dst must be at least as long as src.
+func (s *Schedule) encryptBlocksTTable(dst, src []byte) {
 	for off := 0; off+BlockSize <= len(src); off += BlockSize {
-		s.EncryptTo(dst[off:off+BlockSize], src[off:off+BlockSize])
+		d, b := dst[off:off+BlockSize], src[off:off+BlockSize]
+		s0, s1, s2, s3 := s.encryptWords(
+			binary.BigEndian.Uint32(b[0:4]), binary.BigEndian.Uint32(b[4:8]),
+			binary.BigEndian.Uint32(b[8:12]), binary.BigEndian.Uint32(b[12:16]))
+		binary.BigEndian.PutUint32(d[0:4], s0)
+		binary.BigEndian.PutUint32(d[4:8], s1)
+		binary.BigEndian.PutUint32(d[8:12], s2)
+		binary.BigEndian.PutUint32(d[12:16], s3)
 	}
 }

@@ -11,6 +11,7 @@
 package baseline
 
 import (
+	"math"
 	"time"
 
 	"haac/internal/builder"
@@ -59,17 +60,19 @@ func calibrationCircuit() *circuit.Circuit {
 	return b.MustBuild()
 }
 
+// calibrationRuns is how many times MeasureCPU times each circuit.
+const calibrationRuns = 20
+
 // MeasureCPU times the software garbler (and optionally evaluator) on
 // the host and solves for per-gate costs. The XOR cost is obtained from
-// a second, XOR-only circuit. The hasher's scratch pools are warmed
-// first so one-time setup does not contaminate the per-gate numbers —
-// with the pooled re-keyed and fixed-key hashers the measured loops are
-// allocation-free, so the model prices hashing, not garbage collection.
+// a second, XOR-only circuit. Both circuits run on the plan engine that
+// executes every 2PC run (internal/gc PlanGarbler/PlanEvaluator), with
+// the plan compiled and the runner built before timing — as a serving
+// session reuses them — so circuit validation and allocation are not
+// priced as gate work. Each circuit is timed as the fastest of
+// calibrationRuns runs, so a GC cycle or a descheduling does not skew
+// the per-gate numbers.
 func MeasureCPU(h gc.Hasher, evaluator bool) CPUModel {
-	if h4, ok := h.(gc.Hasher4); ok {
-		var l label.L
-		h4.Hash4(l, l, l, l, 0, 0, 1, 1)
-	}
 	mixed := calibrationCircuit()
 	stats := mixed.ComputeStats()
 
@@ -90,10 +93,20 @@ func MeasureCPU(h gc.Hasher, evaluator bool) CPUModel {
 	xorStats := xorOnly.ComputeStats()
 
 	timeGarble := func(c *circuit.Circuit) time.Duration {
-		src := label.NewSource(1)
-		start := time.Now()
+		p, err := circuit.NewPlan(c)
+		if err != nil {
+			panic(err)
+		}
+		pg := gc.NewPlanGarbler(p, h, 1)
+		run := func() {
+			pg.Begin(label.NewSource(1))
+			if _, err := pg.Run(nil); err != nil {
+				panic(err)
+			}
+		}
 		if evaluator {
-			g, err := gc.Garble(c, h, src)
+			pg.Begin(label.NewSource(1))
+			g, err := pg.Run(nil)
 			if err != nil {
 				panic(err)
 			}
@@ -101,16 +114,21 @@ func MeasureCPU(h gc.Hasher, evaluator bool) CPUModel {
 			if err != nil {
 				panic(err)
 			}
-			start = time.Now()
-			if _, err := gc.Evaluate(c, h, in, g.Tables); err != nil {
-				panic(err)
-			}
-		} else {
-			if _, err := gc.Garble(c, h, src); err != nil {
-				panic(err)
+			pe := gc.NewPlanEvaluator(p, h, 1)
+			run = func() {
+				if _, err := pe.Eval(in, g.Tables); err != nil {
+					panic(err)
+				}
 			}
 		}
-		return time.Since(start)
+		run() // warm-up
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < calibrationRuns; i++ {
+			start := time.Now()
+			run()
+			best = min(best, time.Since(start))
+		}
+		return best
 	}
 
 	xorTime := timeGarble(xorOnly)

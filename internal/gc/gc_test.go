@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"haac/internal/aes128"
 	"haac/internal/builder"
 	"haac/internal/circuit"
 	"haac/internal/label"
@@ -18,15 +19,27 @@ func hashers() map[string]Hasher {
 	}
 }
 
+// onBothAESPaths runs f on the CPU-selected aes128 path and again with
+// the portable T-table path forced, so the fallback stays tested on
+// AES-NI hosts (on other hosts both runs take the T-table path).
+func onBothAESPaths(f func(path string)) {
+	f("cpu")
+	restore := aes128.ForcePortable()
+	defer restore()
+	f("portable")
+}
+
 func TestHalfGateAllInputs(t *testing.T) {
 	for name, h := range hashers() {
-		src := label.NewSource(99)
-		r := src.NextDelta()
-		for j := uint64(0); j < 16; j++ {
-			if err := checkHalfGates(h, src.Next(), src.Next(), r, j); err != nil {
-				t.Fatalf("%s: %v", name, err)
+		onBothAESPaths(func(path string) {
+			src := label.NewSource(99)
+			r := src.NextDelta()
+			for j := uint64(0); j < 16; j++ {
+				if err := checkHalfGates(h, src.Next(), src.Next(), r, j); err != nil {
+					t.Fatalf("%s/%s: %v", name, path, err)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -221,20 +234,6 @@ func BenchmarkGarbleANDFixedKey(b *testing.B) {
 	r := src.NextDelta()
 	a0, b0 := src.Next(), src.Next()
 	h := NewFixedKeyHasher([16]byte{9})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		garbleAND(h, a0, b0, r, uint64(i))
-	}
-}
-
-// BenchmarkGarbleANDFixedKeySoft is the matched-backend denominator for
-// the re-keying overhead: the same T-table AES as the re-keyed hasher,
-// without the per-gate key expansions.
-func BenchmarkGarbleANDFixedKeySoft(b *testing.B) {
-	src := label.NewSource(1)
-	r := src.NextDelta()
-	a0, b0 := src.Next(), src.Next()
-	h := NewSoftFixedKeyHasher([16]byte{9})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		garbleAND(h, a0, b0, r, uint64(i))

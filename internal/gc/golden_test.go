@@ -23,7 +23,9 @@ var goldenR = label.L{Lo: 0x1111111122222223, Hi: 0x8877665544332211} // colour 
 var goldenFixedKey = [16]byte{0x5a, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // Per-gate vectors: garbleAND(a0, b0, r, j) -> (Material bytes, output
-// zero-label) for both hasher constructions.
+// zero-label) for both hasher constructions. Every vector test runs on
+// both aes128 paths (onBothAESPaths), so the AES-NI kernels and the
+// portable T-table fallback are pinned to the same bytes.
 var goldenGates = []struct {
 	hasher   string
 	tweak    uint64
@@ -36,18 +38,12 @@ var goldenGates = []struct {
 	{"fixed-key", 0, "0a1c702e93f344c9c3c0b3548ba9c924526e4ab450c37b8a3df01b4f9b38095f", "b17d3ecd0923f900b205d5b49db14e97"},
 	{"fixed-key", 7, "29f9a703008bca649ad7b5d4ec53e9aafa43e2e90d3f7deb6e16d0e70c3c1400", "e8c4c84b4922e93a8ff3dfa632c02dd4"},
 	{"fixed-key", 1 << 40, "1b09b99202d7f59daa367dc8fceee3c7f084fce55c4e7d099c87218f117f2a49", "c1c638dc34c46642542efe179366cd31"},
-	// The T-table backend of the fixed-key construction must hit the
-	// exact same vectors as the crypto/aes one.
-	{"fixed-key-soft", 0, "0a1c702e93f344c9c3c0b3548ba9c924526e4ab450c37b8a3df01b4f9b38095f", "b17d3ecd0923f900b205d5b49db14e97"},
-	{"fixed-key-soft", 7, "29f9a703008bca649ad7b5d4ec53e9aafa43e2e90d3f7deb6e16d0e70c3c1400", "e8c4c84b4922e93a8ff3dfa632c02dd4"},
-	{"fixed-key-soft", 1 << 40, "1b09b99202d7f59daa367dc8fceee3c7f084fce55c4e7d099c87218f117f2a49", "c1c638dc34c46642542efe179366cd31"},
 }
 
 // Single-hash vectors: H(a0, 5) per construction.
 var goldenHashes = map[string]string{
-	"rekeyed":        "652aef2582ed43201fc2e2705c53ef98",
-	"fixed-key":      "2bfee9a21d66345bb96660ec94d0f2c6",
-	"fixed-key-soft": "2bfee9a21d66345bb96660ec94d0f2c6",
+	"rekeyed":   "652aef2582ed43201fc2e2705c53ef98",
+	"fixed-key": "2bfee9a21d66345bb96660ec94d0f2c6",
 }
 
 func goldenHasher(t *testing.T, name string) Hasher {
@@ -57,8 +53,6 @@ func goldenHasher(t *testing.T, name string) Hasher {
 		return RekeyedHasher{}
 	case "fixed-key":
 		return NewFixedKeyHasher(goldenFixedKey)
-	case "fixed-key-soft":
-		return NewSoftFixedKeyHasher(goldenFixedKey)
 	}
 	t.Fatalf("unknown hasher %q", name)
 	return nil
@@ -69,19 +63,21 @@ func TestGoldenHalfGateVectors(t *testing.T) {
 		g := g
 		t.Run(fmt.Sprintf("%s/j=%d", g.hasher, g.tweak), func(t *testing.T) {
 			h := goldenHasher(t, g.hasher)
-			m, c0 := garbleAND(h, goldenA0, goldenB0, goldenR, g.tweak)
-			mb := m.Bytes()
-			if got := hex.EncodeToString(mb[:]); got != g.material {
-				t.Errorf("material = %s, golden %s", got, g.material)
-			}
-			if got := c0.String(); got != g.c0 {
-				t.Errorf("c0 = %s, golden %s", got, g.c0)
-			}
-			// The material must still evaluate correctly, so the vector
-			// check catches garble/eval drifting together too.
-			if err := checkHalfGates(h, goldenA0, goldenB0, goldenR, g.tweak); err != nil {
-				t.Error(err)
-			}
+			onBothAESPaths(func(path string) {
+				m, c0 := garbleAND(h, goldenA0, goldenB0, goldenR, g.tweak)
+				mb := m.Bytes()
+				if got := hex.EncodeToString(mb[:]); got != g.material {
+					t.Errorf("%s: material = %s, golden %s", path, got, g.material)
+				}
+				if got := c0.String(); got != g.c0 {
+					t.Errorf("%s: c0 = %s, golden %s", path, got, g.c0)
+				}
+				// The material must still evaluate correctly, so the vector
+				// check catches garble/eval drifting together too.
+				if err := checkHalfGates(h, goldenA0, goldenB0, goldenR, g.tweak); err != nil {
+					t.Errorf("%s: %v", path, err)
+				}
+			})
 		})
 	}
 }
@@ -89,9 +85,11 @@ func TestGoldenHalfGateVectors(t *testing.T) {
 func TestGoldenHashVectors(t *testing.T) {
 	for name, want := range goldenHashes {
 		h := goldenHasher(t, name)
-		if got := h.Hash(goldenA0, 5).String(); got != want {
-			t.Errorf("%s: H(a0,5) = %s, golden %s", name, got, want)
-		}
+		onBothAESPaths(func(path string) {
+			if got := h.Hash(goldenA0, 5).String(); got != want {
+				t.Errorf("%s/%s: H(a0,5) = %s, golden %s", name, path, got, want)
+			}
+		})
 	}
 }
 
@@ -145,19 +143,21 @@ func TestGoldenCircuitDigests(t *testing.T) {
 				h = RekeyedHasher{}
 			}
 			c := goldenWorkload(t, g.workload).Build()
-			garbled, err := Garble(c, h, label.NewSource(42))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(garbled.Tables) != g.tables {
-				t.Fatalf("got %d tables, golden %d", len(garbled.Tables), g.tables)
-			}
-			if got := garbled.R.String(); got != goldenDigestR {
-				t.Errorf("R = %s, golden %s", got, goldenDigestR)
-			}
-			if got := tableDigest(garbled); got != g.sha {
-				t.Errorf("table digest = %s, golden %s", got, g.sha)
-			}
+			onBothAESPaths(func(path string) {
+				garbled, err := Garble(c, h, label.NewSource(42))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(garbled.Tables) != g.tables {
+					t.Fatalf("%s: got %d tables, golden %d", path, len(garbled.Tables), g.tables)
+				}
+				if got := garbled.R.String(); got != goldenDigestR {
+					t.Errorf("%s: R = %s, golden %s", path, got, goldenDigestR)
+				}
+				if got := tableDigest(garbled); got != g.sha {
+					t.Errorf("%s: table digest = %s, golden %s", path, got, g.sha)
+				}
+			})
 		})
 	}
 }

@@ -12,20 +12,16 @@ import (
 // Equality and allocation regressions for the batched hash paths. The
 // batched Hash2/Hash4 entry points must be drop-in replacements for
 // individual Hash calls (the golden vectors pin the absolute outputs;
-// these tests pin the batching itself on random inputs), and the
-// re-keyed construction must hash with zero steady-state allocations
-// now that it expands keys into pooled schedules instead of building a
-// crypto/aes cipher per call.
+// these tests pin the batching itself on random inputs, on both aes128
+// paths), and the re-keyed construction must hash with zero
+// allocations: its keys, blocks and schedules all live on the stack.
 
-// batchedHashers returns every hasher with a batched path, including
-// both fixed-key backends (which must agree with each other: same
-// construction, different AES implementation).
+// batchedHashers returns every hasher with a batched path.
 func batchedHashers() []Hasher {
 	key := [16]byte{0x5a, 9, 8, 7}
 	return []Hasher{
 		RekeyedHasher{},
 		NewFixedKeyHasher(key),
-		NewSoftFixedKeyHasher(key),
 	}
 }
 
@@ -40,22 +36,36 @@ func TestHash4MatchesHash(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement Hasher4", h.Name())
 		}
-		for i := 0; i < 50; i++ {
-			l0, l1, l2, l3 := randLabel(rng), randLabel(rng), randLabel(rng), randLabel(rng)
-			// The garbler pattern (t0==t1, t2==t3) plus fully distinct
-			// tweaks, so both schedule-reuse branches are exercised.
-			t0 := rng.Uint64()
-			t2 := rng.Uint64()
-			tweaks := [][4]uint64{{t0, t0, t2, t2}, {t0, t2, t0 + 1, t2 + 1}}
-			for _, tw := range tweaks {
-				g0, g1, g2, g3 := h4.Hash4(l0, l1, l2, l3, tw[0], tw[1], tw[2], tw[3])
-				w0, w1 := h.Hash(l0, tw[0]), h.Hash(l1, tw[1])
-				w2, w3 := h.Hash(l2, tw[2]), h.Hash(l3, tw[3])
-				if g0 != w0 || g1 != w1 || g2 != w2 || g3 != w3 {
-					t.Fatalf("%s: Hash4%v diverges from individual hashes", h.Name(), tw)
+		h2 := h.(Hasher2)
+		onBothAESPaths(func(path string) {
+			for i := 0; i < 50; i++ {
+				l0, l1, l2, l3 := randLabel(rng), randLabel(rng), randLabel(rng), randLabel(rng)
+				// The garbler pattern (t0==t1, t2==t3), which takes the
+				// fused two-key kernel, plus every mismatched pattern,
+				// which must fall back to two Hash2 calls.
+				t0 := rng.Uint64()
+				t2 := rng.Uint64()
+				tweaks := [][4]uint64{
+					{t0, t0, t2, t2},
+					{t0, t2, t0 + 1, t2 + 1},
+					{t0, t0, t2, t2 + 1},
+					{t0, t0 + 1, t2, t2},
+				}
+				for _, tw := range tweaks {
+					g0, g1, g2, g3 := h4.Hash4(l0, l1, l2, l3, tw[0], tw[1], tw[2], tw[3])
+					w0, w1 := h.Hash(l0, tw[0]), h.Hash(l1, tw[1])
+					w2, w3 := h.Hash(l2, tw[2]), h.Hash(l3, tw[3])
+					if g0 != w0 || g1 != w1 || g2 != w2 || g3 != w3 {
+						t.Fatalf("%s/%s: Hash4%v diverges from individual hashes", h.Name(), path, tw)
+					}
+					p0, p1 := h2.Hash2(l0, l1, tw[0], tw[1])
+					p2, p3 := h2.Hash2(l2, l3, tw[2], tw[3])
+					if g0 != p0 || g1 != p1 || g2 != p2 || g3 != p3 {
+						t.Fatalf("%s/%s: Hash4%v diverges from two Hash2 calls", h.Name(), path, tw)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -66,58 +76,48 @@ func TestHash2MatchesHash(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement Hasher2", h.Name())
 		}
-		for i := 0; i < 50; i++ {
-			l0, l1 := randLabel(rng), randLabel(rng)
-			t0 := rng.Uint64()
-			for _, t1 := range []uint64{t0, t0 + 1, rng.Uint64()} {
-				g0, g1 := h2.Hash2(l0, l1, t0, t1)
-				if w0, w1 := h.Hash(l0, t0), h.Hash(l1, t1); g0 != w0 || g1 != w1 {
-					t.Fatalf("%s: Hash2(t0=%d,t1=%d) diverges from individual hashes", h.Name(), t0, t1)
+		onBothAESPaths(func(path string) {
+			for i := 0; i < 50; i++ {
+				l0, l1 := randLabel(rng), randLabel(rng)
+				t0 := rng.Uint64()
+				for _, t1 := range []uint64{t0, t0 + 1, rng.Uint64()} {
+					g0, g1 := h2.Hash2(l0, l1, t0, t1)
+					if w0, w1 := h.Hash(l0, t0), h.Hash(l1, t1); g0 != w0 || g1 != w1 {
+						t.Fatalf("%s/%s: Hash2(t0=%d,t1=%d) diverges from individual hashes", h.Name(), path, t0, t1)
+					}
 				}
 			}
-		}
-	}
-}
-
-// TestSoftFixedKeyMatchesFixedKey: the T-table and crypto/aes backends
-// of the fixed-key construction are interchangeable.
-func TestSoftFixedKeyMatchesFixedKey(t *testing.T) {
-	key := [16]byte{3, 1, 4, 1, 5, 9, 2, 6}
-	hw := NewFixedKeyHasher(key)
-	sw := NewSoftFixedKeyHasher(key)
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 100; i++ {
-		l := randLabel(rng)
-		tw := rng.Uint64()
-		if hw.Hash(l, tw) != sw.Hash(l, tw) {
-			t.Fatalf("backends diverge at tweak %d", tw)
-		}
+		})
 	}
 }
 
 // TestRekeyedHashNoSteadyStateAllocs pins the tentpole property: every
-// re-keyed hash entry point runs allocation-free once the scratch pool
-// is warm.
+// re-keyed hash entry point runs allocation-free on both aes128 paths,
+// with no scratch pool to warm.
 func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	h := RekeyedHasher{}
 	l0, l1, l2, l3 := label.L{Lo: 1}, label.L{Lo: 2}, label.L{Lo: 3}, label.L{Lo: 4}
-	h.Hash(l0, 1) // warm the pool
-	if avg := testing.AllocsPerRun(100, func() { h.Hash(l0, 9) }); avg != 0 {
-		t.Errorf("Hash allocates %.1f times in steady state", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { h.Hash2(l0, l1, 8, 9) }); avg != 0 {
-		t.Errorf("Hash2 allocates %.1f times in steady state", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
-		t.Errorf("Hash4 allocates %.1f times in steady state", avg)
-	}
+	onBothAESPaths(func(path string) {
+		if avg := testing.AllocsPerRun(100, func() { h.Hash(l0, 9) }); avg != 0 {
+			t.Errorf("%s: Hash allocates %.1f times", path, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { h.Hash2(l0, l1, 8, 9) }); avg != 0 {
+			t.Errorf("%s: Hash2 allocates %.1f times", path, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
+			t.Errorf("%s: Hash4 allocates %.1f times", path, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 9, 10, 11) }); avg != 0 {
+			t.Errorf("%s: Hash4 (mismatched tweaks) allocates %.1f times", path, avg)
+		}
+	})
 }
 
 // TestRekeyedGarbleEvalSteadyStateAllocs is the re-keyed twin of
-// proto's fixed-key engine test: with pooled schedules, building a plan
+// proto's fixed-key engine test: with stack-held schedules, building a plan
 // runner and running it over a whole circuit allocates O(1) per circuit
 // (the runner's arenas), never per gate.
 func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {

@@ -14,11 +14,8 @@
 package gc
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"haac/internal/aes128"
 	"haac/internal/label"
@@ -98,8 +95,9 @@ type Hasher4 interface {
 // Hasher2 is the evaluator-side batched extension of Hasher: both
 // hashes of one evaluated AND gate in a single call. The two tweaks are
 // distinct (2j and 2j+1), so unlike Hash4 there is no key sharing to
-// exploit — the win is staging both blocks through one scratch
-// acquisition. Results must equal two individual Hash calls.
+// exploit — the win is hashing both blocks in one call (one fused
+// two-key kernel for RekeyedHasher). Results must equal two individual
+// Hash calls.
 type Hasher2 interface {
 	Hasher
 	Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L)
@@ -128,88 +126,66 @@ func hash2(h Hasher, a, b label.L, t0, t1 uint64) (ha, hb label.L) {
 // H(L, t) = AES_{K(t)}(L) XOR L. This is what HAAC's hardware pipeline
 // implements (key expansion + AES per hash).
 //
-// The implementation runs on the aes128 T-table tier with pooled
-// scratch: each tweak's key is expanded once into a worker-local
-// Schedule and reused for every block hashed under it, so the batched
-// Hash4 path pays two expansions for a garbled gate's four hashes (the
-// schedule-reuse the paper's Half-Gate pipeline exploits) and no call
-// allocates in steady state. Outputs are byte-identical to encrypting
-// with crypto/aes — the wire format and golden vectors are unchanged.
+// The batched paths run one fused aes128 kernel per gate: on AES-NI
+// hosts it expands both gate keys on the fly, interleaved with the
+// encryption rounds, so no round key touches memory and no lookup is
+// indexed by a secret. Hash4 encrypts the garbler's four blocks under
+// the gate's two keys (two expansions per garbled gate, the schedule
+// reuse the paper's Half-Gate pipeline exploits); Hash2 the evaluator's
+// two blocks. Hosts without AES-NI take the portable T-table path,
+// which is not constant-time. No call allocates, and outputs are
+// byte-identical to encrypting with crypto/aes — the wire format and
+// golden vectors are unchanged.
 type RekeyedHasher struct{}
 
-// rkScratch is one worker's re-keyed hash scratch: the tweak-derived
-// key, the expanded schedule it is reused through, and staging blocks
-// for one batched pair. Stack arrays would be fine for the T-table
-// calls, but pooling mirrors FixedKeyHasher and keeps the schedule —
-// 176 bytes — off the stack of every gate.
-type rkScratch struct {
-	key     [aes128.KeySize]byte
-	ks      aes128.Schedule
-	in, out [2 * label.Size]byte
-}
-
-// rkPool is shared by all RekeyedHasher values: the construction has no
-// per-instance state (the key is derived from the tweak alone), so the
-// zero value stays usable everywhere and every worker draws from one
-// pool, exactly like FixedKeyHasher's per-instance pool does for its
-// workers.
-var rkPool = sync.Pool{New: func() any { return new(rkScratch) }}
-
-// expand derives K(tweak) and expands it into the scratch schedule —
-// the per-gate re-keying cost the paper quantifies.
-func (s *rkScratch) expand(tweak uint64) {
-	binary.LittleEndian.PutUint64(s.key[0:8], tweak)
-	binary.LittleEndian.PutUint64(s.key[8:16], ^tweak)
-	s.ks.ExpandFrom(&s.key)
-}
-
-// hashPair hashes two labels under two tweaks, expanding the second key
-// only when it differs — one batched two-block encryption when the
-// tweaks match (the garbler's case), two single blocks otherwise.
-func (s *rkScratch) hashPair(l0, l1 label.L, t0, t1 uint64) (label.L, label.L) {
-	s.expand(t0)
-	l0.Put(s.in[0:16])
-	l1.Put(s.in[16:32])
-	if t1 == t0 {
-		s.ks.EncryptBlocksTo(s.out[:], s.in[:])
-	} else {
-		s.ks.EncryptTo(s.out[0:16], s.in[0:16])
-		s.expand(t1)
-		s.ks.EncryptTo(s.out[16:32], s.in[16:32])
-	}
-	return label.FromBytes(s.out[0:16]).Xor(l0), label.FromBytes(s.out[16:32]).Xor(l1)
+// tweakKey derives the gate key K(tweak) = LE(tweak) || LE(^tweak).
+func tweakKey(tweak uint64) (k [aes128.KeySize]byte) {
+	binary.LittleEndian.PutUint64(k[0:8], tweak)
+	binary.LittleEndian.PutUint64(k[8:16], ^tweak)
+	return k
 }
 
 // Hash implements Hasher.
 func (RekeyedHasher) Hash(l label.L, tweak uint64) label.L {
-	s := rkPool.Get().(*rkScratch)
-	s.expand(tweak)
-	l.Put(s.in[0:16])
-	s.ks.EncryptTo(s.out[0:16], s.in[0:16])
-	out := label.FromBytes(s.out[0:16]).Xor(l)
-	rkPool.Put(s)
-	return out
+	k := tweakKey(tweak)
+	var ks aes128.Schedule
+	ks.ExpandFrom(&k)
+	var b [label.Size]byte
+	l.Put(b[:])
+	ks.EncryptTo(b[:], b[:])
+	return label.FromBytes(b[:]).Xor(l)
 }
 
-// Hash2 implements Hasher2: the evaluator's two hashes share one
-// scratch acquisition and one schedule slot (each half re-keys it).
+// Hash2 implements Hasher2: the evaluator's two hashes, one block under
+// each of two keys, in one fused kernel call.
 func (RekeyedHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
-	s := rkPool.Get().(*rkScratch)
-	h0, h1 = s.hashPair(l0, l1, t0, t1)
-	rkPool.Put(s)
-	return
+	ka, kb := tweakKey(t0), tweakKey(t1)
+	var b [2 * label.Size]byte
+	l0.Put(b[0:16])
+	l1.Put(b[16:32])
+	aes128.EncryptRekeyed2(&b, &b, &ka, &kb)
+	return label.FromBytes(b[0:16]).Xor(l0), label.FromBytes(b[16:32]).Xor(l1)
 }
 
 // Hash4 implements Hasher4: the garbler's four hashes use only two
 // distinct keys (t0==t1 and t2==t3 in the half-gate tweak schedule), so
-// each pair expands once and encrypts both blocks under the reused
-// schedule.
-func (RekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
-	s := rkPool.Get().(*rkScratch)
-	h0, h1 = s.hashPair(l0, l1, t0, t1)
-	h2, h3 = s.hashPair(l2, l3, t2, t3)
-	rkPool.Put(s)
-	return
+// one fused kernel call expands each key once and encrypts two blocks
+// under it. Other tweak patterns fall back to two Hash2 calls.
+func (h RekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
+	if t0 != t1 || t2 != t3 {
+		h0, h1 = h.Hash2(l0, l1, t0, t1)
+		h2, h3 = h.Hash2(l2, l3, t2, t3)
+		return
+	}
+	ka, kb := tweakKey(t0), tweakKey(t2)
+	var b [4 * label.Size]byte
+	l0.Put(b[0:16])
+	l1.Put(b[16:32])
+	l2.Put(b[32:48])
+	l3.Put(b[48:64])
+	aes128.EncryptRekeyed4(&b, &b, &ka, &kb)
+	return label.FromBytes(b[0:16]).Xor(l0), label.FromBytes(b[16:32]).Xor(l1),
+		label.FromBytes(b[32:48]).Xor(l2), label.FromBytes(b[48:64]).Xor(l3)
 }
 
 // Name implements Hasher.
@@ -217,35 +193,23 @@ func (RekeyedHasher) Name() string { return "rekeyed" }
 
 // FixedKeyHasher is the classic fixed-key construction (JustGarble
 // style): H(L, t) = AES_K(2L xor t) xor 2L xor t with one global key.
-// It is faster but, as the paper notes, offers weaker concrete security;
-// it exists here to reproduce the §2.1 "+27.5%" re-keying overhead
-// comparison.
+// It skips the per-gate key expansion but, as the paper notes, offers
+// weaker concrete security; it exists here to reproduce the §2.1
+// "+27.5%" re-keying overhead comparison, and internal/ot uses it as
+// its correlation-robust row hash.
+//
+// It encrypts through the same aes128 path as RekeyedHasher (AES-NI
+// where the CPU has it), so the two differ only by the key expansions.
+// The schedule is expanded once and only read afterwards, so one
+// hasher can be shared by a whole worker pool; no call allocates.
 type FixedKeyHasher struct {
-	blk cipher.Block
-	// scratch pools the AES in/out blocks. Stack arrays would escape
-	// through the interface-typed Encrypt call (two heap allocations per
-	// Hash4, measured), and struct fields would break pool-wide sharing;
-	// pooled buffers keep the hasher concurrency-safe with zero
-	// steady-state allocations.
-	scratch sync.Pool
-}
-
-// fkScratch is one worker's hash scratch: four input and four output
-// AES blocks.
-type fkScratch struct {
-	in, out [4 * label.Size]byte
+	ks aes128.Schedule
 }
 
 // NewFixedKeyHasher builds a FixedKeyHasher with the given global key.
-// The underlying AES block cipher is expanded once and is safe for
-// concurrent use, so one hasher can be shared by a whole worker pool.
 func NewFixedKeyHasher(key [16]byte) *FixedKeyHasher {
-	blk, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("gc: aes.NewCipher: " + err.Error())
-	}
-	h := &FixedKeyHasher{blk: blk}
-	h.scratch.New = func() any { return new(fkScratch) }
+	h := &FixedKeyHasher{}
+	h.ks.ExpandFrom(&key)
 	return h
 }
 
@@ -257,121 +221,39 @@ func double(l label.L, tweak uint64) label.L {
 // Hash implements Hasher.
 func (h *FixedKeyHasher) Hash(l label.L, tweak uint64) label.L {
 	d := double(l, tweak)
-	s := h.scratch.Get().(*fkScratch)
-	d.Put(s.in[0:16])
-	h.blk.Encrypt(s.out[0:16], s.in[0:16])
-	out := label.FromBytes(s.out[0:16]).Xor(d)
-	h.scratch.Put(s)
-	return out
+	var b [label.Size]byte
+	d.Put(b[:])
+	h.ks.EncryptTo(b[:], b[:])
+	return label.FromBytes(b[:]).Xor(d)
 }
 
-// Hash2 implements Hasher2: the evaluator's two blocks staged through
-// the single expanded cipher with one pooled scratch acquisition.
+// Hash2 implements Hasher2: the evaluator's two blocks in one batched
+// encryption.
 func (h *FixedKeyHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	d0, d1 := double(l0, t0), double(l1, t1)
-	s := h.scratch.Get().(*fkScratch)
-	d0.Put(s.in[0:16])
-	d1.Put(s.in[16:32])
-	blk := h.blk
-	blk.Encrypt(s.out[0:16], s.in[0:16])
-	blk.Encrypt(s.out[16:32], s.in[16:32])
-	h0 = label.FromBytes(s.out[0:16]).Xor(d0)
-	h1 = label.FromBytes(s.out[16:32]).Xor(d1)
-	h.scratch.Put(s)
-	return
+	var b [2 * label.Size]byte
+	d0.Put(b[0:16])
+	d1.Put(b[16:32])
+	h.ks.EncryptBlocksTo(b[:], b[:])
+	return label.FromBytes(b[0:16]).Xor(d0), label.FromBytes(b[16:32]).Xor(d1)
 }
 
-// Hash4 implements Hasher4: the four blocks of one AND gate are staged
-// through the single expanded cipher using pooled scratch buffers, so a
-// garbling worker pays no steady-state allocation and no per-hash
-// interface dispatch.
+// Hash4 implements Hasher4: the four blocks of one AND gate in one
+// batched encryption.
 func (h *FixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
 	d0, d1, d2, d3 := double(l0, t0), double(l1, t1), double(l2, t2), double(l3, t3)
-	s := h.scratch.Get().(*fkScratch)
-	d0.Put(s.in[0:16])
-	d1.Put(s.in[16:32])
-	d2.Put(s.in[32:48])
-	d3.Put(s.in[48:64])
-	blk := h.blk
-	blk.Encrypt(s.out[0:16], s.in[0:16])
-	blk.Encrypt(s.out[16:32], s.in[16:32])
-	blk.Encrypt(s.out[32:48], s.in[32:48])
-	blk.Encrypt(s.out[48:64], s.in[48:64])
-	h0 = label.FromBytes(s.out[0:16]).Xor(d0)
-	h1 = label.FromBytes(s.out[16:32]).Xor(d1)
-	h2 = label.FromBytes(s.out[32:48]).Xor(d2)
-	h3 = label.FromBytes(s.out[48:64]).Xor(d3)
-	h.scratch.Put(s)
-	return
+	var b [4 * label.Size]byte
+	d0.Put(b[0:16])
+	d1.Put(b[16:32])
+	d2.Put(b[32:48])
+	d3.Put(b[48:64])
+	h.ks.EncryptBlocksTo(b[:], b[:])
+	return label.FromBytes(b[0:16]).Xor(d0), label.FromBytes(b[16:32]).Xor(d1),
+		label.FromBytes(b[32:48]).Xor(d2), label.FromBytes(b[48:64]).Xor(d3)
 }
 
 // Name implements Hasher.
 func (h *FixedKeyHasher) Name() string { return "fixed-key" }
-
-// SoftFixedKeyHasher is FixedKeyHasher on the aes128 T-table tier
-// instead of crypto/aes. It produces the same hashes (AES is AES) but
-// pays software block costs, which makes it the matched-backend
-// denominator for the re-keying overhead experiment: RekeyedHasher vs
-// FixedKeyHasher confounds re-keying with hardware-vs-software AES on
-// AES-NI hosts, while RekeyedHasher vs SoftFixedKeyHasher isolates the
-// pure key-expansion surcharge the paper quantifies as +27.5%.
-type SoftFixedKeyHasher struct {
-	ks      aes128.Schedule
-	scratch sync.Pool
-}
-
-// NewSoftFixedKeyHasher builds a SoftFixedKeyHasher with the given
-// global key, expanded once at construction.
-func NewSoftFixedKeyHasher(key [16]byte) *SoftFixedKeyHasher {
-	h := &SoftFixedKeyHasher{}
-	h.ks.ExpandFrom(&key)
-	h.scratch.New = func() any { return new(fkScratch) }
-	return h
-}
-
-// Hash implements Hasher.
-func (h *SoftFixedKeyHasher) Hash(l label.L, tweak uint64) label.L {
-	d := double(l, tweak)
-	s := h.scratch.Get().(*fkScratch)
-	d.Put(s.in[0:16])
-	h.ks.EncryptTo(s.out[0:16], s.in[0:16])
-	out := label.FromBytes(s.out[0:16]).Xor(d)
-	h.scratch.Put(s)
-	return out
-}
-
-// Hash2 implements Hasher2.
-func (h *SoftFixedKeyHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
-	d0, d1 := double(l0, t0), double(l1, t1)
-	s := h.scratch.Get().(*fkScratch)
-	d0.Put(s.in[0:16])
-	d1.Put(s.in[16:32])
-	h.ks.EncryptBlocksTo(s.out[0:32], s.in[0:32])
-	h0 = label.FromBytes(s.out[0:16]).Xor(d0)
-	h1 = label.FromBytes(s.out[16:32]).Xor(d1)
-	h.scratch.Put(s)
-	return
-}
-
-// Hash4 implements Hasher4.
-func (h *SoftFixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
-	d0, d1, d2, d3 := double(l0, t0), double(l1, t1), double(l2, t2), double(l3, t3)
-	s := h.scratch.Get().(*fkScratch)
-	d0.Put(s.in[0:16])
-	d1.Put(s.in[16:32])
-	d2.Put(s.in[32:48])
-	d3.Put(s.in[48:64])
-	h.ks.EncryptBlocksTo(s.out[:], s.in[:])
-	h0 = label.FromBytes(s.out[0:16]).Xor(d0)
-	h1 = label.FromBytes(s.out[16:32]).Xor(d1)
-	h2 = label.FromBytes(s.out[32:48]).Xor(d2)
-	h3 = label.FromBytes(s.out[48:64]).Xor(d3)
-	h.scratch.Put(s)
-	return
-}
-
-// Name implements Hasher.
-func (h *SoftFixedKeyHasher) Name() string { return "fixed-key-soft" }
 
 // GarbleAND garbles a single AND gate: given the input zero-labels and
 // the FreeXOR offset it returns the gate's table and output zero-label.

@@ -99,8 +99,8 @@ func (p *prgStream) expand(dst []uint64) {
 // schedules and 64 rounds of SHA per transfer — with AES blocks staged
 // four at a time through one expanded cipher. The construction is
 // exactly gc's fixed-key hasher, H(r, j) = AES_K(2r ^ j) ^ (2r ^ j),
-// so the hasher is reused rather than re-implemented; its pooled
-// scratch makes it allocation-free and safe to share across extensions.
+// so the hasher is reused rather than re-implemented; it is
+// allocation-free and safe to share across extensions.
 var crKey = [16]byte{'H', 'A', 'A', 'C', '.', 'i', 'k', 'n', 'p', '.', 'c', 'r', 'h', '.', 'v', '1'}
 
 var crHasher = gc.NewFixedKeyHasher(crKey)

@@ -163,7 +163,7 @@ func Mersenne(nInit, nOut int) Workload {
 				// mtMatA this is an XOR with y's LSB — no AND gates.
 				matA := make(builder.Word, 32)
 				for j := 0; j < 32; j++ {
-					if mtMatA>>uint(j)&1 == 1 {
+					if uint32(mtMatA)>>uint(j)&1 == 1 {
 						matA[j] = y[0]
 					} else {
 						matA[j] = b.Const(false)
