@@ -10,11 +10,12 @@
 // The default garbling hash everywhere (Run2PC, GarbleAndEvaluate, the
 // protocol options) is the paper's secure re-keyed construction: each
 // AND gate derives fresh AES keys from its gate index. Its software
-// hot path expands each key once into pooled scratch and reuses the
-// schedule across the gate's blocks, so re-keying costs two key
-// expansions per garbled gate and zero steady-state allocations —
-// the same cost model as HAAC's Half-Gate pipeline, quantified by the
-// "rekey" experiment in cmd/haacbench.
+// hot path is one fused AES-NI kernel per gate (a T-table fallback on
+// other hosts) that expands both gate keys on the fly and encrypts the
+// gate's blocks under them, so re-keying costs two key expansions per
+// garbled gate and zero allocations — the same cost model as HAAC's
+// Half-Gate pipeline, quantified by the "rekey" experiment in
+// cmd/haacbench.
 //
 // Typical flows:
 //

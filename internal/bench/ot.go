@@ -362,6 +362,6 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 		})
 	}
 	s := table(header, cells)
-	s += "\n(tables and labels are slab-encoded through pooled buffers and both hashers\nrun allocation-free, so allocs/table is O(1/slab) and independent of circuit\nsize on every row; the rekeyed row still pays the paper's per-gate key\nexpansions, but as CPU time through pooled schedules rather than allocations)\n"
+	s += "\n(tables and labels are slab-encoded through pooled buffers and both hashers\nrun allocation-free, so allocs/table is O(1/slab) and independent of circuit\nsize on every row; the rekeyed row still pays the paper's per-gate key\nexpansions, but as CPU time rather than allocations)\n"
 	return rows, s, nil
 }

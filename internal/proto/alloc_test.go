@@ -127,10 +127,9 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRekeyed2PCSteadyStateAllocs: a full two-party run under the
-// paper's re-keyed hasher stays O(1) allocations per circuit now that
-// key schedules live in pooled scratch — before the schedule-reuse
-// rewrite this path paid one crypto/aes cipher allocation per hash
-// (~18 allocations per table on this workload).
+// paper's re-keyed hasher stays O(1) allocations per circuit: its key
+// schedules never reach the heap. A crypto/aes cipher per hash would
+// cost ~18 allocations per table on this workload.
 func TestRekeyed2PCSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	w := workloads.DotProduct(4, 16)
