@@ -293,18 +293,16 @@ type RunOptions struct {
 	// PoolSize, when positive, asks Dial/DialWith (and DialFleet) for the
 	// precomputed-OT session tier: the session banks about this many
 	// random-OT correlations — base OTs and IKNP extension paid at dial
-	// time and topped up in the background between runs — so a
-	// steady-state Run's online oblivious transfer is a single
-	// choice-correction XOR round with no public-key operations. Size it
-	// at several runs' worth of evaluator inputs; a run that finds the
-	// pool short falls back to on-demand OT for that run. Servers that
+	// time, the bank topped back up inside Run whenever it holds less
+	// than one run's demand — so a steady-state Run's online oblivious
+	// transfer is a single choice-correction XOR round with no
+	// public-key operations. Size it at several runs' worth of
+	// evaluator inputs; a pool (or server cap) smaller than one run's
+	// demand falls back to on-demand OT on every run. Servers that
 	// decline the tier (ServerConfig.DisablePooledOT) accept the session
 	// unpooled — check Session.Pooled. The direct-connection entry
 	// points ignore it.
 	PoolSize int
-	// PoolRefill is the background top-up chunk of a pooled session
-	// (correlations per refill op). Default PoolSize/4.
-	PoolRefill int
 }
 
 func (o RunOptions) proto() proto.Options {
@@ -489,7 +487,6 @@ func DialWith(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, er
 		Integrity:   opts.Integrity,
 		MaxRunBytes: opts.MaxRunBytes,
 		PoolSize:    opts.PoolSize,
-		PoolRefill:  opts.PoolRefill,
 	}
 	if opts.Plan != nil {
 		sopts.Plan = opts.Plan.plan

@@ -143,7 +143,7 @@ func (e *Env) Serving() ([]ServingRow, string, error) {
 // maxSessions > 0 caps admission below the offered session count; the
 // shed connections must fail typed with ErrBusy. pooled switches the
 // level to the precomputed-OT tier, sized so the measured window never
-// needs a background refill, and asserts its steady-state contract.
+// needs a top-up, and asserts its steady-state contract.
 func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits []bool, sessions, maxSessions, runsPerSession int, pooled bool) (ServingRow, error) {
 	row := ServingRow{Sessions: sessions, MaxSessions: maxSessions, RunsPerSession: runsPerSession, Pooled: pooled}
 
@@ -180,8 +180,8 @@ func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits
 	opts := server.Options{OT: ot.Insecure, Plan: plan}
 	if pooled {
 		// Twice the level's whole demand (warm-up run included): the
-		// pool ends the window at half target, so the background refill
-		// never fires inside the measurement.
+		// pool never falls below one run's demand, so no run tops it up
+		// inside the measurement.
 		opts = server.Options{Plan: plan, PoolSize: 2 * (runsPerSession + 1) * c.EvaluatorInputs}
 	}
 	conns := make([]*server.Session, 0, sessions)

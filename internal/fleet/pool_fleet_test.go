@@ -28,8 +28,8 @@ func TestFleetPooledSessionEndToEnd(t *testing.T) {
 
 	m := c.EvaluatorInputs
 	const runs = 5
-	// Twice the run window's demand: the pool ends at exactly half
-	// target, so no background refill fires and the counters below are
+	// Twice the run window's demand: the pool never falls below one
+	// run's demand, so no run tops it up and the counters below are
 	// deterministic (mirrors the server-layer steady-state test).
 	sess, err := server.Dial(fleetAddr, w.Name, c, server.Options{PoolSize: 2 * runs * m})
 	if err != nil {

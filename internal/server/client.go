@@ -190,36 +190,18 @@ type Options struct {
 	// the transfer.
 	MaxRunBytes int64
 	// PoolSize, when positive, requests the precomputed-OT session tier:
-	// the session keeps a pool of about this many random-OT correlations,
-	// filled synchronously at (re)connect and topped up in the background
-	// between runs, so a steady-state Run's online OT is one XOR round
-	// with no base OTs. A run that finds the pool short of its demand
-	// falls back to the on-demand protocol for that run (a PoolMiss). A
-	// server that declines the tier accepts the session unpooled —
-	// check Session.Pooled for the negotiated outcome.
+	// the session keeps a pool of up to this many random-OT correlations,
+	// filled synchronously at (re)connect and topped back up to PoolSize
+	// inside Run whenever it holds less than one run's demand, so a
+	// steady-state Run's online OT is one XOR round with no base OTs. A
+	// run still falls back to the on-demand protocol (a PoolMiss) when
+	// PoolSize or the server's cap is below one run's demand. A server
+	// that declines the tier accepts the session unpooled — check
+	// Session.Pooled for the negotiated outcome.
 	PoolSize int
-	// PoolRefill is the background refill chunk (correlations per
-	// opRefill). Default PoolSize/4, minimum 1; larger chunks amortize
-	// the refill round trips, smaller ones shorten the wire lock a
-	// concurrent Run may wait on.
-	PoolRefill int
 	// PoolBase is the base-OT protocol seeding pool fills: ot.DH
 	// (default) or ot.Insecure (needs the server's AllowInsecureOT).
 	PoolBase ot.Protocol
-}
-
-// poolTarget/poolChunk resolve the pool sizing defaults; Options.PoolBase
-// needs no resolver — its zero value is already ot.DH.
-func (o Options) poolTarget() int { return o.PoolSize }
-
-func (o Options) poolChunk() int {
-	if o.PoolRefill > 0 {
-		return o.PoolRefill
-	}
-	if c := o.PoolSize / 4; c > 0 {
-		return c
-	}
-	return 1
 }
 
 // wireOT is the protocol byte the hello carries: ot.Pooled when the
@@ -311,15 +293,15 @@ type Session struct {
 	// Pooled-tier state. The pool is bound to the current connection's
 	// base-OT exchange, so it is rebuilt from scratch on every
 	// (re)connect; poolCapped remembers a server refusal so the session
-	// stops asking. wireMu serializes the wire between Run/Close and the
-	// background refill goroutine — it is the only concurrency a Session
-	// supports; refilling (guarded by wireMu) keeps that goroutine
-	// singleton.
+	// stops asking. demand is the correlations one run consumes (the
+	// circuit's evaluator inputs). wireMu serializes Run and Close with
+	// the state readers (Stats, Pooled, PoolLevel), which other
+	// goroutines may call while a run is in flight.
 	wireMu     sync.Mutex
 	pooled     bool
 	pool       *ot.Pool
 	poolCapped bool
-	refilling  bool
+	demand     int
 
 	// Reconnect state; addr == "" means the session was built over a
 	// caller-owned conn (NewSession) and cannot redial.
@@ -339,10 +321,11 @@ func Dial(addr, circuitID string, c *circuit.Circuit, opts Options) (*Session, e
 		return nil, err
 	}
 	s := &Session{
-		addr:  addr,
-		hello: hello{ot: opts.wireOT(), flags: helloFlags(opts), id: circuitID, digest: circuit.Digest(c)},
-		opts:  opts,
-		rng:   newJitterRNG(opts.Retry.Seed),
+		addr:   addr,
+		hello:  hello{ot: opts.wireOT(), flags: helloFlags(opts), id: circuitID, digest: circuit.Digest(c)},
+		opts:   opts,
+		rng:    newJitterRNG(opts.Retry.Seed),
+		demand: c.EvaluatorInputs,
 	}
 	for attempt := 1; ; attempt++ {
 		conn, err := s.connect()
@@ -388,7 +371,7 @@ func NewSession(conn net.Conn, circuitID string, c *circuit.Circuit, opts Option
 	if err := opts.ensurePlan(c); err != nil {
 		return nil, err
 	}
-	s := &Session{conn: conn, opts: opts}
+	s := &Session{conn: conn, opts: opts, demand: c.EvaluatorInputs}
 	rw := proto.Instrument(conn, opts.Stats)
 	if err := writeHello(rw, hello{ot: opts.wireOT(), flags: helloFlags(opts), id: circuitID, digest: circuit.Digest(c)}); err != nil {
 		return nil, err
@@ -511,14 +494,14 @@ func (s *Session) reconnect() error {
 // pooled handshake, bounded by the handshake deadline: the connection's
 // base OTs and first fill are paid at dial time, not inside a run.
 func (s *Session) initialFill(conn net.Conn) error {
-	if !s.pooled || s.opts.poolTarget() <= 0 {
+	if !s.pooled || s.opts.PoolSize <= 0 {
 		return nil
 	}
 	if d := s.opts.Retry.HandshakeTimeout; d > 0 {
 		conn.SetDeadline(time.Now().Add(d))
 		defer conn.SetDeadline(time.Time{})
 	}
-	return s.refillOnce(s.opts.poolTarget())
+	return s.refillOnce(s.opts.PoolSize)
 }
 
 // refillOnce runs one opRefill exchange over the current connection,
@@ -529,6 +512,9 @@ func (s *Session) initialFill(conn net.Conn) error {
 func (s *Session) refillOnce(n int) error {
 	if n <= 0 || s.poolCapped {
 		return nil
+	}
+	if s.bb != nil {
+		s.bb.reset() // a fill is budgeted like a run, from its request on
 	}
 	var req [6]byte
 	req[0] = opRefill
@@ -561,9 +547,6 @@ func (s *Session) refillOnce(n int) error {
 	if granted < n {
 		s.poolCapped = true // the server clamped to its cap
 	}
-	if s.bb != nil {
-		s.bb.reset()
-	}
 	if s.pool == nil {
 		p, err := ot.NewReceiverPool(s.rw, s.opts.PoolBase)
 		if err != nil {
@@ -577,54 +560,6 @@ func (s *Session) refillOnce(n int) error {
 	}
 	s.stats.PoolRefills++
 	return nil
-}
-
-// maybeRefill starts the background top-up when the pool has fallen
-// below half its target. Called with wireMu held; the goroutine it
-// spawns serializes with Run on wireMu, so refills only touch the wire
-// between runs.
-func (s *Session) maybeRefill() {
-	if !s.pooled || s.pool == nil || s.poolCapped || s.refilling || s.broken || s.closed {
-		return
-	}
-	if s.pool.Level() >= (s.opts.poolTarget()+1)/2 {
-		return
-	}
-	s.refilling = true
-	go s.refillLoop()
-}
-
-// refillLoop tops the pool back up to target, one chunk per wireMu
-// acquisition so a concurrent Run slots in between chunks. A wire error
-// breaks the connection; the next Run heals it, and the reconnect's
-// initial fill rebuilds the pool from scratch.
-func (s *Session) refillLoop() {
-	for {
-		s.wireMu.Lock()
-		if s.closed || s.broken || s.poolCapped || s.pool == nil || s.pool.Level() >= s.opts.poolTarget() {
-			s.refilling = false
-			s.wireMu.Unlock()
-			return
-		}
-		n := s.opts.poolTarget() - s.pool.Level()
-		if c := s.opts.poolChunk(); n > c {
-			n = c
-		}
-		if d := s.opts.Retry.RunTimeout; d > 0 && s.conn != nil {
-			s.conn.SetDeadline(time.Now().Add(d))
-		}
-		err := s.refillOnce(n)
-		if s.opts.Retry.RunTimeout > 0 && s.conn != nil {
-			s.conn.SetDeadline(time.Time{})
-		}
-		if err != nil {
-			s.breakConn()
-			s.refilling = false
-			s.wireMu.Unlock()
-			return
-		}
-		s.wireMu.Unlock()
-	}
 }
 
 // NumSlots reports the slot-arena width of the server's plan for this
@@ -741,7 +676,6 @@ func (s *Session) Run(evalBits []bool) ([]bool, error) {
 		}
 		if err == nil {
 			s.stats.Runs++
-			s.maybeRefill()
 			return out, nil
 		}
 		lastErr = err
@@ -774,8 +708,17 @@ func (s *Session) attemptOnce(evalBits []bool) ([]bool, error) {
 	return s.runOnce(evalBits)
 }
 
-// runOnce plays a single run attempt over the current connection.
+// runOnce plays a single run attempt over the current connection. A
+// pool holding less than one run's demand is first topped back up to
+// PoolSize: fills are lockstep, so the garbler's hit/miss check then
+// sees enough correlations unless a cap keeps the pool below one run.
 func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
+	if s.pool != nil && s.pool.Level() < s.demand {
+		if err := s.refillOnce(s.opts.PoolSize - s.pool.Level()); err != nil {
+			s.breakConn()
+			return nil, err
+		}
+	}
 	if s.bb != nil {
 		s.bb.reset()
 	}

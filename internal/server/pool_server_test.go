@@ -8,6 +8,7 @@ import (
 	"haac/internal/circuit"
 	"haac/internal/faultnet"
 	"haac/internal/ot"
+	"haac/internal/proto"
 	"haac/internal/workloads"
 )
 
@@ -49,9 +50,8 @@ func TestPooledSessionServesFromPool(t *testing.T) {
 
 	m := c.EvaluatorInputs
 	const runs = 6
-	// 2*runs*m leaves the pool at exactly half target after the last
-	// run, so the background refill never triggers and the counters
-	// below are deterministic.
+	// 2*runs*m never drops below one run's demand, so no run tops the
+	// pool up and the dial-time fill is the only refill.
 	sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * runs * m})
 	if err != nil {
 		t.Fatal(err)
@@ -142,11 +142,12 @@ func TestPooledSessionClampAndFallback(t *testing.T) {
 	}
 }
 
-// TestPooledRefillRace drains the pool faster than one refill chunk
-// restores it, so back-to-back runs race the background refill
-// goroutine on the session wire. Every run must complete byte-identical
-// (hit or miss, never a deadlock or a duplicated correlation), and both
-// sides must agree on the hit/miss split.
+// TestPooledRefillRace drains a pool of two runs' worth every second
+// run, so refills must keep pace with back-to-back runs. Run tops the
+// pool up before the run can find it short: every run is a hit on
+// both sides, no base OT runs after dial, and a top-up happens exactly
+// when the level is below one run's demand — the dial fill plus one
+// per two runs after it.
 func TestPooledRefillRace(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -158,31 +159,29 @@ func TestPooledRefillRace(t *testing.T) {
 	})
 
 	const runs = 20
-	sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m, PoolRefill: m})
+	sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	rounds := ot.BaseOTRounds()
 	oracleRuns(t, sess, w, c, garblerBits, runs)
+	if got := ot.BaseOTRounds() - rounds; got != 0 {
+		t.Errorf("base-OT rounds during runs = %d, want 0", got)
+	}
+	const refills = 1 + (runs-1)/2 // dial fill, then runs 3, 5, ..., 19
 	cs := sess.Stats()
-	if cs.PoolHits+cs.PoolMisses != runs {
-		t.Errorf("hits+misses = %d+%d, want %d", cs.PoolHits, cs.PoolMisses, runs)
+	if cs.PoolHits != runs || cs.PoolMisses != 0 || cs.PoolRefills != refills {
+		t.Errorf("client pool stats hits=%d misses=%d refills=%d, want %d/0/%d",
+			cs.PoolHits, cs.PoolMisses, cs.PoolRefills, runs, refills)
 	}
-	if cs.PoolHits == 0 {
-		t.Error("no run ever hit the pool despite background refills")
-	}
-	if cs.PoolRefills < 2 {
-		t.Errorf("refills = %d, want the background loop to have topped up", cs.PoolRefills)
-	}
-	t.Logf("refill race: hits=%d misses=%d refills=%d level=%d",
-		cs.PoolHits, cs.PoolMisses, cs.PoolRefills, sess.PoolLevel())
 
 	sess.Close()
 	srv.Close()
 	st := srv.Stats()
-	if st.PoolHits != cs.PoolHits || st.PoolMisses != cs.PoolMisses {
-		t.Errorf("server saw hits=%d misses=%d, client saw %d/%d — sides disagree",
-			st.PoolHits, st.PoolMisses, cs.PoolHits, cs.PoolMisses)
+	if st.PoolHits != runs || st.PoolMisses != 0 || st.PoolRefills != refills {
+		t.Errorf("server pool stats hits=%d misses=%d refills=%d, want %d/0/%d",
+			st.PoolHits, st.PoolMisses, st.PoolRefills, runs, refills)
 	}
 }
 
@@ -226,10 +225,11 @@ func TestPooledDeclinedFallsBack(t *testing.T) {
 }
 
 // TestChaosPooledDropMidRefill aims a deterministic connection drop at
-// the pool-fill byte window (base OTs + fill stream of the initial
-// refill), then lets random drops loose on a pooled session. Both must
-// heal through redial + re-handshake + fresh pool, with every run's
-// output identical to the oracle.
+// the pool-fill byte window of the dial-time fill (base OTs + fill
+// stream) and of the first top-up inside Run, then lets random drops
+// loose on a pooled session. All must heal through redial +
+// re-handshake + fresh pool, with every run's output identical to the
+// oracle.
 func TestChaosPooledDropMidRefill(t *testing.T) {
 	w := workloads.AddN(16)
 	c := w.Build()
@@ -268,6 +268,61 @@ func TestChaosPooledDropMidRefill(t *testing.T) {
 		}
 	})
 
+	t.Run("deterministic-mid-topup", func(t *testing.T) {
+		_, addr := startServer(t, Config{
+			Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+			Seed:     37,
+		})
+		m := c.EvaluatorInputs
+		const perFill = 4 // runs one full pool serves; run perFill+1 tops up
+		// A clean probe session measures the byte offset at which run
+		// perFill+1 starts; the wire is deterministic in size, so the
+		// faulty session reaches the same offset at the same point.
+		var probe proto.Stats
+		ps, err := Dial(addr, w.Name, c, Options{PoolSize: perFill * m, Stats: &probe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracleRuns(t, ps, w, c, garblerBits, perFill)
+		before := probe.BytesSent.Load() + probe.BytesReceived.Load()
+		ps.Close()
+
+		// Past the 6-byte opRefill request and its 5-byte grant, the
+		// next op is the top-up's fill stream: the drop lands there.
+		dialer := &faultnet.Dialer{
+			Plan:     faultnet.Plan{Seed: 47, DropAfterBytes: before + 6 + 5},
+			DropOnce: true,
+		}
+		sess, err := Dial(addr, w.Name, c, Options{
+			PoolSize: perFill * m,
+			Retry:    chaosRetry(53),
+			Dialer:   dialer.Dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		oracleRuns(t, sess, w, c, garblerBits, perFill)
+		if drops := dialer.Stats().Drops.Load(); drops != 0 {
+			t.Fatalf("%d drops before the top-up run; the offset missed its window", drops)
+		}
+		oracleRuns(t, sess, w, c, garblerBits, 2*perFill)
+		if drops := dialer.Stats().Drops.Load(); drops != 1 {
+			t.Fatalf("drops = %d, want exactly 1", drops)
+		}
+		// The broken top-up is not counted; the redial's fresh fill
+		// covers the replayed run, so the next top-up is at run 2*perFill+1:
+		// dial fill + reconnect fill + one top-up.
+		cs := sess.Stats()
+		if cs.Reconnects != 1 || cs.Retries != 1 {
+			t.Errorf("reconnects=%d retries=%d, want 1/1", cs.Reconnects, cs.Retries)
+		}
+		if want := uint64(3 * perFill); cs.PoolHits != want || cs.PoolMisses != 0 || cs.PoolRefills != 3 {
+			t.Errorf("pool stats hits=%d misses=%d refills=%d, want %d/0/3",
+				cs.PoolHits, cs.PoolMisses, cs.PoolRefills, want)
+		}
+	})
+
 	t.Run("random-drops", func(t *testing.T) {
 		_, addr := startServer(t, Config{
 			Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
@@ -275,10 +330,9 @@ func TestChaosPooledDropMidRefill(t *testing.T) {
 		})
 		dialer := &faultnet.Dialer{Plan: faultnet.Plan{Seed: 0xBEEF, DropRate: 0.02}}
 		sess, err := Dial(addr, w.Name, c, Options{
-			PoolSize:   48,
-			PoolRefill: 16,
-			Retry:      chaosRetry(43),
-			Dialer:     dialer.Dial,
+			PoolSize: 48,
+			Retry:    chaosRetry(43),
+			Dialer:   dialer.Dial,
 		})
 		if err != nil {
 			t.Fatal(err)
